@@ -238,7 +238,8 @@ func TestAllAndByID(t *testing.T) {
 
 // TestAllRegeneratesEveryArtifact runs the complete experiment suite once
 // — the same path as `cmd/experiments -exp all` — and checks each
-// artifact rendered non-trivially and is reachable through ByID.
+// artifact rendered non-trivially and that ByID regenerates it byte for
+// byte.
 func TestAllRegeneratesEveryArtifact(t *testing.T) {
 	results, err := All()
 	if err != nil {
@@ -260,8 +261,13 @@ func TestAllRegeneratesEveryArtifact(t *testing.T) {
 		if len(r.Text) < 40 {
 			t.Errorf("%s rendered suspiciously short output", r.ID)
 		}
-		if _, err := ByID(r.ID); err != nil {
+		again, err := ByID(r.ID)
+		if err != nil {
 			t.Errorf("ByID(%q): %v", r.ID, err)
+			continue
+		}
+		if again.Text != r.Text {
+			t.Errorf("ByID(%q) rendered different text than All():\n--- All\n%s\n--- ByID\n%s", r.ID, r.Text, again.Text)
 		}
 	}
 }

@@ -41,6 +41,7 @@ const netsimPath = "mpichmad/internal/netsim"
 var blockSeeds = map[string]bool{
 	vtimePath + ".Scheduler.cur":       true,
 	vtimePath + ".Scheduler.switchOut": true,
+	vtimePath + ".Task.park":           true,
 	vtimePath + ".Scheduler.Sleep":     true,
 	vtimePath + ".Scheduler.Yield":     true,
 	vtimePath + ".Sem.Acquire":         true,

@@ -30,6 +30,9 @@ type Datatype interface {
 	// unpackOne deserializes one element from src (Size bytes) into
 	// dst (Extent bytes).
 	unpackOne(dst, src []byte)
+	// dense reports whether packOne keeps every byte in place: the
+	// packed element is the first Size bytes of src, in order.
+	dense() bool
 }
 
 // basic is a contiguous fixed-width type.
@@ -45,6 +48,7 @@ func (b *basic) packOne(dst, src []byte) { copy(dst, src[:b.width]) }
 func (b *basic) unpackOne(dst, src []byte) {
 	copy(dst[:b.width], src)
 }
+func (b *basic) dense() bool { return true }
 
 // Predefined basic datatypes.
 var (
@@ -82,6 +86,7 @@ func (c *contiguous) unpackOne(dst, src []byte) {
 		c.base.unpackOne(dst[i*be:], src[i*bs:(i+1)*bs])
 	}
 }
+func (c *contiguous) dense() bool { return c.base.dense() }
 
 // Vector builds a strided type: count blocks of blocklen base elements,
 // with stride base elements between block starts (MPI_Type_vector).
@@ -126,6 +131,9 @@ func (v *vector) unpackOne(dst, src []byte) {
 			o += bs
 		}
 	}
+}
+func (v *vector) dense() bool {
+	return v.base.dense() && (v.count <= 1 || v.blocklen == v.stride)
 }
 
 // Indexed builds a type of variable-length blocks at element
@@ -183,6 +191,24 @@ func (x *indexed) unpackOne(dst, src []byte) {
 	}
 }
 
+// dense requires the non-empty blocks to be back to back from 0, in order.
+func (x *indexed) dense() bool {
+	if !x.base.dense() {
+		return false
+	}
+	next := 0
+	for i, bl := range x.blocklens {
+		if bl == 0 {
+			continue
+		}
+		if x.displs[i] != next {
+			return false
+		}
+		next += bl
+	}
+	return true
+}
+
 // StructField is one member of a Struct datatype: Len bytes at byte
 // offset Disp in the user buffer.
 type StructField struct {
@@ -224,9 +250,26 @@ func (s *structT) unpackOne(dst, src []byte) {
 	}
 }
 
+// dense requires the non-empty fields to be back to back from 0, in order.
+func (s *structT) dense() bool {
+	next := 0
+	for _, f := range s.fields {
+		if f.Len == 0 {
+			continue
+		}
+		if f.Disp != next {
+			return false
+		}
+		next += f.Len
+	}
+	return true
+}
+
 // IsContiguous reports whether count elements of dt occupy a dense byte
-// range (no packing buffer needed).
-func IsContiguous(dt Datatype) bool { return dt.Size() == dt.Extent() }
+// range in pack order (no packing buffer needed). Size == Extent is not
+// enough: a permuted Indexed or Struct type is gap-free but reorders
+// bytes when packed.
+func IsContiguous(dt Datatype) bool { return dt.Size() == dt.Extent() && dt.dense() }
 
 // PackBuf serializes count elements of dt from user buffer buf into a
 // dense []byte. For contiguous types it returns a subslice of buf without
@@ -248,6 +291,15 @@ func PackBuf(buf []byte, count int, dt Datatype) []byte {
 // user buffer buf. src may be shorter than count*Size on truncation.
 func UnpackBuf(buf []byte, count int, dt Datatype, src []byte) {
 	sz, ex := dt.Size(), dt.Extent()
+	if IsContiguous(dt) {
+		if sz == 0 {
+			return
+		}
+		n := min(len(src), count*sz)
+		n -= n % sz // partial trailing element: dropped, like MPICH
+		copy(buf[:n], src[:n])
+		return
+	}
 	for i := 0; i < count; i++ {
 		lo := i * sz
 		if lo >= len(src) {

@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -264,5 +265,96 @@ func TestStatusCount(t *testing.T) {
 	st := &Status{Bytes: 24}
 	if st.Count(Float64) != 3 || st.Count(Int32) != 6 || st.Count(Byte) != 24 {
 		t.Fatal("Count wrong")
+	}
+}
+
+// packRef and unpackRef are the per-element paths of PackBuf and
+// UnpackBuf, with no contiguous shortcut: the reference the fast paths
+// must match.
+func packRef(buf []byte, count int, dt Datatype) []byte {
+	sz, ex := dt.Size(), dt.Extent()
+	out := make([]byte, count*sz)
+	for i := 0; i < count; i++ {
+		dt.packOne(out[i*sz:(i+1)*sz], buf[i*ex:])
+	}
+	return out
+}
+
+func unpackRef(buf []byte, count int, dt Datatype, src []byte) {
+	sz, ex := dt.Size(), dt.Extent()
+	for i := 0; i < count && (i+1)*sz <= len(src); i++ {
+		dt.unpackOne(buf[i*ex:], src[i*sz:(i+1)*sz])
+	}
+}
+
+// datatypeZoo has one or more types of every kind, dense and not.
+func datatypeZoo() []Datatype {
+	return []Datatype{
+		Byte, Int32, Float64,
+		Contiguous(3, Int32),
+		Contiguous(2, Vector(2, 1, 2, Int32)),
+		Vector(3, 2, 2, Int32),
+		Vector(1, 3, 5, Byte),
+		Vector(3, 1, 2, Byte),
+		Indexed([]int{2, 1, 3}, []int{0, 2, 3}, Int32),
+		Indexed([]int{1, 0, 2}, []int{0, 7, 1}, Byte),
+		Indexed([]int{1, 1}, []int{1, 0}, Byte),
+		Indexed([]int{2, 1, 3}, []int{0, 4, 6}, Int32),
+		Struct(5, []StructField{{Disp: 0, Len: 2}, {Disp: 2, Len: 3}}),
+		Struct(2, []StructField{{Disp: 1, Len: 1}, {Disp: 0, Len: 1}}),
+		Struct(16, []StructField{{Disp: 0, Len: 3}, {Disp: 8, Len: 8}}),
+		Struct(0, nil),
+	}
+}
+
+// Regression: a gap-free but permuted layout is not contiguous, so
+// PackBuf must reorder its bytes exactly like the per-element path.
+func TestPermutedTypesAreNotContiguous(t *testing.T) {
+	for _, dt := range []Datatype{
+		Indexed([]int{1, 1}, []int{1, 0}, Byte),
+		Struct(2, []StructField{{Disp: 1, Len: 1}, {Disp: 0, Len: 1}}),
+	} {
+		if IsContiguous(dt) {
+			t.Errorf("%s: permuted layout reported contiguous", dt.Name())
+		}
+		buf := []byte("abab")
+		if got, want := PackBuf(buf, 2, dt), packRef(buf, 2, dt); !bytes.Equal(got, want) || string(got) != "baba" {
+			t.Errorf("%s: PackBuf = %q, per-element = %q, want \"baba\"", dt.Name(), got, want)
+		}
+	}
+	for _, dt := range []Datatype{
+		Indexed([]int{2, 0, 1}, []int{0, 1, 2}, Byte),
+		Struct(3, []StructField{{Disp: 0, Len: 1}, {Disp: 1, Len: 2}}),
+		Vector(2, 3, 3, Int32),
+	} {
+		if !IsContiguous(dt) {
+			t.Errorf("%s: identity layout reported non-contiguous", dt.Name())
+		}
+	}
+}
+
+// Property: PackBuf and UnpackBuf match the per-element paths on every
+// datatype kind, including a truncated source that ends mid-element.
+func TestPackUnpackMatchPerElement(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, dt := range datatypeZoo() {
+		for trial := 0; trial < 40; trial++ {
+			count := rng.Intn(5)
+			buf := make([]byte, count*dt.Extent()+3)
+			rng.Read(buf)
+			if got, want := PackBuf(buf, count, dt), packRef(buf, count, dt); !bytes.Equal(got, want) {
+				t.Fatalf("%s count %d: PackBuf = % x, per-element = % x", dt.Name(), count, got, want)
+			}
+			src := make([]byte, rng.Intn(count*dt.Size()+2))
+			rng.Read(src)
+			got := make([]byte, len(buf))
+			rng.Read(got)
+			want := append([]byte(nil), got...)
+			UnpackBuf(got, count, dt, src)
+			unpackRef(want, count, dt, src)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s count %d src %d bytes: UnpackBuf = % x, per-element = % x", dt.Name(), count, len(src), got, want)
+			}
+		}
 	}
 }

@@ -1,7 +1,6 @@
 package vtime
 
 import (
-	"container/heap"
 	"fmt"
 	"runtime"
 	"sort"
@@ -36,8 +35,11 @@ func (st taskState) String() string {
 }
 
 // Task is a cooperative unit of execution scheduled in virtual time.
-// A task runs on its own goroutine but only while it holds the scheduler's
-// token, so at most one task executes at any moment.
+// A task runs on its own goroutine but only while it holds the run token,
+// so at most one task executes at any moment. The token passes directly
+// from task to task: a task that gives it up runs the event loop itself
+// and resumes the next ready task with one send on that task's resume
+// channel (or simply carries on, if the next task is itself).
 type Task struct {
 	s      *Scheduler
 	id     int
@@ -45,6 +47,8 @@ type Task struct {
 	daemon bool
 	state  taskState
 
+	// resume carries the run token to this task's parked goroutine.
+	// Teardown closes it, and a closed receive exits the goroutine.
 	resume chan struct{}
 
 	// waitGen is bumped each time the task is woken; pending timeout
@@ -52,11 +56,21 @@ type Task struct {
 	// timers can be ignored.
 	waitGen  uint64
 	timedOut bool
-	// blockedOn is a human-readable description used in deadlock reports.
-	blockedOn string
-	// cancelWait detaches the task from whatever wait list it is on;
-	// invoked when a timeout fires first.
-	cancelWait func()
+	// waitKind and waitName describe what a blocked task waits on
+	// ("sem", "n0.cpu"). They are joined into a label only when a
+	// deadlock report is built.
+	waitKind string
+	waitName string
+	// waitList is the wait list the task is on, if its wait can time
+	// out; a timeout that fires first detaches the task from it.
+	waitList waitList
+}
+
+// waitList is a primitive whose waiters may time out. Storing it in an
+// interface rather than a cancel closure keeps a timed wait free of
+// allocations.
+type waitList interface {
+	cancelWait(t *Task)
 }
 
 // Name returns the task's diagnostic name.
@@ -65,6 +79,14 @@ func (t *Task) Name() string { return t.name }
 // ID returns the task's unique id (assigned in spawn order).
 func (t *Task) ID() int { return t.id }
 
+// waitLabel renders the task's wait reason for a deadlock report.
+func (t *Task) waitLabel() string {
+	if t.waitName == "" {
+		return t.waitKind
+	}
+	return t.waitKind + " " + t.waitName
+}
+
 // timer is an entry in the scheduler's timer heap: either a task wakeup
 // (possibly a timeout for a blocked task) or a callback.
 type timer struct {
@@ -72,30 +94,18 @@ type timer struct {
 	seq  uint64
 
 	task      *Task
-	gen       uint64 // waitGen at arming time (timeouts only)
+	gen       uint64 // waitGen at arming time (task wakeups only)
 	isTimeout bool
 
 	fn func()
 }
 
-type timerHeap []*timer
-
-func (h timerHeap) Len() int { return len(h) }
-func (h timerHeap) Less(i, j int) bool {
-	if h[i].when != h[j].when {
-		return h[i].when < h[j].when
+// before orders timers by due time, then by arming order.
+func (e *timer) before(o *timer) bool {
+	if e.when != o.when {
+		return e.when < o.when
 	}
-	return h[i].seq < h[j].seq
-}
-func (h timerHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *timerHeap) Push(x interface{}) { *h = append(*h, x.(*timer)) }
-func (h *timerHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return it
+	return e.seq < o.seq
 }
 
 // Scheduler is the discrete-event simulation kernel. Create one with New,
@@ -112,20 +122,20 @@ type Scheduler struct {
 	// scheduling decision — the simulator's hot path at thousands of tasks).
 	rdy     []*Task
 	rdyHead int
-	tmrs    timerHeap
+	// tmrs is a binary min-heap of timer values ordered by timer.before.
+	tmrs []timer
 
 	running *Task
-	park    chan struct{}
-	stop    chan struct{}
+	// result carries Run's outcome from whichever goroutine ends the
+	// simulation: nil, a *DeadlockError or the deadline error.
+	result chan error
 
-	nextID  int
-	live    int // live non-daemon tasks
-	liveAll int
-	tasks   map[int]*Task
+	nextID int
+	live   int // live non-daemon tasks
+	tasks  map[int]*Task
 
 	deadline Time
 	started  bool
-	stopped  bool
 
 	// OnDeadlock, when set, supplies extra context lines for deadlock
 	// reports — the cluster layer points it at the trace flight
@@ -138,8 +148,7 @@ type Scheduler struct {
 // New creates an empty scheduler with the clock at 0 and no deadline.
 func New() *Scheduler {
 	return &Scheduler{
-		park:     make(chan struct{}),
-		stop:     make(chan struct{}),
+		result:   make(chan error, 1),
 		tasks:    make(map[int]*Task),
 		deadline: Time(1<<63 - 1),
 	}
@@ -176,7 +185,6 @@ func (s *Scheduler) spawn(name string, daemon bool, fn func()) *Task {
 	}
 	s.nextID++
 	s.tasks[t.id] = t
-	s.liveAll++
 	if !daemon {
 		s.live++
 	}
@@ -186,76 +194,92 @@ func (s *Scheduler) spawn(name string, daemon bool, fn func()) *Task {
 }
 
 func (s *Scheduler) taskMain(t *Task, fn func()) {
-	select {
-	case <-t.resume:
-	case <-s.stop:
-		runtime.Goexit()
-	}
+	t.park()
 	fn()
 	t.state = stateDone
 	delete(s.tasks, t.id)
-	s.liveAll--
 	if !t.daemon {
 		s.live--
 	}
-	s.park <- struct{}{}
+	s.running = nil
+	if next := s.dispatch(); next != nil {
+		next.resume <- struct{}{}
+	}
+}
+
+// park waits for the run token. A closed resume channel means the
+// simulation is over: the goroutine exits without running any more of
+// the task.
+func (t *Task) park() {
+	if _, ok := <-t.resume; !ok {
+		runtime.Goexit()
+	}
 }
 
 // Run executes the simulation until every non-daemon task completes.
 // It returns an error on deadlock (live tasks but no pending events) or if
-// the virtual deadline is exceeded.
+// the virtual deadline is exceeded. Run only starts the first dispatch;
+// the tasks pass the token among themselves and the one that ends the
+// simulation reports the outcome. Every goroutine still parked is then
+// released to exit.
 func (s *Scheduler) Run() error {
 	if s.started {
 		return fmt.Errorf("vtime: scheduler already run")
 	}
 	s.started = true
-	defer func() {
-		s.stopped = true
-		close(s.stop) // release parked goroutines
-	}()
+	if next := s.dispatch(); next != nil {
+		next.resume <- struct{}{}
+	}
+	err := <-s.result
+	for _, t := range s.tasks {
+		close(t.resume)
+	}
+	return err
+}
 
+// dispatch runs the event loop on the calling goroutine, with no task
+// running, until a task is ready: it fires due timers and At callbacks
+// in (time, arming) order. It returns the next task, already marked
+// running, or nil once the simulation is over, in which case it has sent
+// the outcome to Run.
+func (s *Scheduler) dispatch() *Task {
 	for {
 		if s.live == 0 {
+			s.result <- nil
 			return nil
 		}
 		if s.rdyHead < len(s.rdy) {
 			t := s.popReady()
 			t.state = stateRunning
 			s.running = t
-			t.resume <- struct{}{}
-			<-s.park
-			s.running = nil
-			continue
+			return t
 		}
-		if s.tmrs.Len() == 0 {
-			return s.deadlockError()
+		if len(s.tmrs) == 0 {
+			s.result <- s.deadlockError()
+			return nil
 		}
-		e := heap.Pop(&s.tmrs).(*timer)
-		if e.when > s.deadline {
-			return fmt.Errorf("vtime: virtual deadline %v exceeded (next event at %v)", s.deadline, e.when)
+		if s.tmrs[0].when > s.deadline {
+			s.result <- fmt.Errorf("vtime: virtual deadline %v exceeded (next event at %v)", s.deadline, s.tmrs[0].when)
+			return nil
 		}
+		e := s.popTimer()
 		if e.when > s.now {
 			s.now = e.when
 		}
-		switch {
+		switch t := e.task; {
 		case e.fn != nil:
 			e.fn()
+		case t.state != stateBlocked || t.waitGen != e.gen:
+			// stale: the task was woken some other way first
 		case e.isTimeout:
-			t := e.task
-			if t.state == stateBlocked && t.waitGen == e.gen {
-				if t.cancelWait != nil {
-					t.cancelWait()
-					t.cancelWait = nil
-				}
-				t.timedOut = true
-				s.makeReady(t)
+			if t.waitList != nil {
+				t.waitList.cancelWait(t)
 			}
+			t.timedOut = true
+			s.makeReady(t)
 		default: // plain sleep wakeup
-			t := e.task
-			if t.state == stateBlocked && t.waitGen == e.gen {
-				t.timedOut = false
-				s.makeReady(t)
-			}
+			t.timedOut = false
+			s.makeReady(t)
 		}
 	}
 }
@@ -269,7 +293,7 @@ type TaskState struct {
 	State  string // "new", "ready", "running", "blocked", "done"
 	Daemon bool
 	// BlockedOn is the human-readable wait reason ("sem n0.cpu",
-	// "queue tcp.incoming", "event bcast.done", "sleep until ...");
+	// "queue tcp.incoming", "event bcast.done");
 	// empty unless State is "blocked".
 	BlockedOn string
 }
@@ -321,7 +345,7 @@ func (s *Scheduler) deadlockError() *DeadlockError {
 		t := s.tasks[id]
 		ts := TaskState{ID: t.id, Name: t.name, State: t.state.String(), Daemon: t.daemon}
 		if t.state == stateBlocked {
-			ts.BlockedOn = t.blockedOn
+			ts.BlockedOn = t.waitLabel()
 		}
 		e.Tasks = append(e.Tasks, ts)
 	}
@@ -354,8 +378,7 @@ func (s *Scheduler) popReady() *Task {
 func (s *Scheduler) makeReady(t *Task) {
 	t.waitGen++
 	t.state = stateReady
-	t.blockedOn = ""
-	t.cancelWait = nil
+	t.waitList = nil
 	s.rdy = append(s.rdy, t)
 }
 
@@ -368,21 +391,63 @@ func (s *Scheduler) cur(op string) *Task {
 	return s.running
 }
 
-// switchOut parks the current task and hands control back to the
-// scheduler loop. The task resumes when woken (made ready and picked).
+// switchOut gives up the run token: it runs the event loop until a task
+// is ready and hands the token to it. The caller resumes when it is
+// picked again — at once, without touching a channel, if it is the next
+// task itself.
 func (s *Scheduler) switchOut(t *Task) {
-	s.park <- struct{}{}
-	select {
-	case <-t.resume:
-	case <-s.stop:
-		runtime.Goexit()
+	s.running = nil
+	next := s.dispatch()
+	if next == t {
+		return
 	}
+	if next != nil {
+		next.resume <- struct{}{}
+	}
+	t.park()
 }
 
-func (s *Scheduler) addTimer(e *timer) {
+// addTimer arms e: it appends it to the heap and sifts it up.
+func (s *Scheduler) addTimer(e timer) {
 	e.seq = s.seq
 	s.seq++
-	heap.Push(&s.tmrs, e)
+	h := append(s.tmrs, e)
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !h[i].before(&h[p]) {
+			break
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
+	}
+	s.tmrs = h
+}
+
+// popTimer removes and returns the earliest timer.
+func (s *Scheduler) popTimer() timer {
+	h := s.tmrs
+	top := h[0]
+	n := len(h) - 1
+	h[0] = h[n]
+	h[n] = timer{} // release the task and callback for GC
+	h = h[:n]
+	for i := 0; ; {
+		m := i
+		if l := 2*i + 1; l < n && h[l].before(&h[m]) {
+			m = l
+		}
+		if r := 2*i + 2; r < n && h[r].before(&h[m]) {
+			m = r
+		}
+		if m == i {
+			break
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
+	s.tmrs = h
+	return top
 }
 
 // Sleep suspends the current task for d of virtual time. d <= 0 yields.
@@ -392,9 +457,9 @@ func (s *Scheduler) Sleep(d Duration) {
 		s.Yield()
 		return
 	}
-	s.addTimer(&timer{when: s.now.Add(d), task: t, gen: t.waitGen})
+	s.addTimer(timer{when: s.now.Add(d), task: t, gen: t.waitGen})
 	t.state = stateBlocked
-	t.blockedOn = fmt.Sprintf("sleep until %v", s.now.Add(d))
+	t.waitKind, t.waitName = "sleep", ""
 	s.switchOut(t)
 }
 
@@ -408,29 +473,32 @@ func (s *Scheduler) Yield() {
 }
 
 // At schedules fn to run at virtual time when (or now, if in the past).
-// fn executes in scheduler context and must not block; it may wake tasks
-// (Queue.Push, Event.Fire, Sem.Release) and schedule further callbacks.
+// fn executes in scheduler context — on the goroutine of whichever task
+// gave up the token, with no task running — and must not block; it may
+// wake tasks (Queue.Push, Event.Fire, Sem.Release) and schedule further
+// callbacks.
 func (s *Scheduler) At(when Time, fn func()) {
 	if when < s.now {
 		when = s.now
 	}
-	s.addTimer(&timer{when: when, fn: fn})
+	s.addTimer(timer{when: when, fn: fn})
 }
 
 // After schedules fn to run d after the current time.
 func (s *Scheduler) After(d Duration, fn func()) { s.At(s.now.Add(d), fn) }
 
 // block parks the current task until woken by a wake() call or, if
-// timeout >= 0, until the timeout expires. cancel detaches the task from
-// its wait list when the timeout wins. Returns true if it timed out.
+// timeout >= 0, until the timeout expires; kind and name label the wait.
+// A wait with a timeout must name its wait list, which the timeout
+// detaches the task from if it wins. Returns true if it timed out.
 // The caller must have registered the task on a wait list already.
-func (s *Scheduler) block(t *Task, what string, timeout Duration, cancel func()) bool {
+func (s *Scheduler) block(t *Task, kind, name string, timeout Duration, wl waitList) bool {
 	t.state = stateBlocked
-	t.blockedOn = what
+	t.waitKind, t.waitName = kind, name
 	t.timedOut = false
-	t.cancelWait = cancel
+	t.waitList = wl
 	if timeout >= 0 {
-		s.addTimer(&timer{when: s.now.Add(timeout), task: t, gen: t.waitGen, isTimeout: true})
+		s.addTimer(timer{when: s.now.Add(timeout), task: t, gen: t.waitGen, isTimeout: true})
 	}
 	s.switchOut(t)
 	return t.timedOut

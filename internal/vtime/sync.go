@@ -30,7 +30,7 @@ func (m *Sem) Acquire() {
 		return
 	}
 	m.waiters = append(m.waiters, t)
-	m.s.block(t, "sem "+m.name, -1, nil)
+	m.s.block(t, "sem", m.name, -1, nil)
 	// Handoff semantics: the releaser consumed our permit for us.
 }
 
@@ -101,7 +101,7 @@ func (e *Event) Wait() {
 	}
 	t := e.s.cur("Event.Wait")
 	e.waiters = append(e.waiters, t)
-	e.s.block(t, "event "+e.name, -1, nil)
+	e.s.block(t, "event", e.name, -1, nil)
 }
 
 // Fire marks the event and wakes every waiter. Safe from scheduler
@@ -206,7 +206,7 @@ func (q *Queue[T]) Pop() T {
 		}
 		t := q.s.cur("Queue.Pop")
 		q.waiters = append(q.waiters, t)
-		q.s.block(t, "queue "+q.name, -1, nil)
+		q.s.block(t, "queue", q.name, -1, nil)
 	}
 }
 
@@ -224,15 +224,7 @@ func (q *Queue[T]) PopTimeout(d Duration) (T, bool) {
 		}
 		t := q.s.cur("Queue.PopTimeout")
 		q.waiters = append(q.waiters, t)
-		timedOut := q.s.block(t, "queue "+q.name, remain, func() {
-			for i, w := range q.waiters {
-				if w == t {
-					q.waiters = append(q.waiters[:i], q.waiters[i+1:]...)
-					break
-				}
-			}
-		})
-		if timedOut {
+		if q.s.block(t, "queue", q.name, remain, q) {
 			// One last chance: an item may have been pushed at the
 			// exact deadline tick after the timer fired.
 			if v, ok := q.TryPop(); ok {
@@ -240,6 +232,17 @@ func (q *Queue[T]) PopTimeout(d Duration) (T, bool) {
 			}
 			var zero T
 			return zero, false
+		}
+	}
+}
+
+// cancelWait detaches t from the queue's waiters when its PopTimeout
+// times out.
+func (q *Queue[T]) cancelWait(t *Task) {
+	for i, w := range q.waiters {
+		if w == t {
+			q.waiters = append(q.waiters[:i], q.waiters[i+1:]...)
+			return
 		}
 	}
 }

@@ -4,10 +4,19 @@
 //
 // The kernel is the substrate for the whole MPICH/Madeleine reproduction:
 // every simulated process, Marcel thread, NIC and polling loop is a vtime
-// task. Exactly one task runs at any instant (handed a token by the
-// scheduler), so simulations are fully deterministic: the same program
+// task. Exactly one task runs at any instant, the one holding the run
+// token, so simulations are fully deterministic: the same program
 // produces the same event order and the same virtual timestamps on every
 // run, on any machine.
+//
+// There is no scheduler goroutine. A task that blocks, sleeps or yields
+// runs the event loop itself: it pops the next ready task, firing due
+// timers and At callbacks (with no task running) until one is ready, and
+// hands the token over with one send on that task's channel. If the next
+// task is the caller, no channel is touched at all. Run only starts the
+// first dispatch and waits for the outcome. Waits allocate nothing: wait
+// reasons are stored as kind and name and rendered only for a deadlock
+// report, and timers are values in a hand-written heap.
 package vtime
 
 import "fmt"
