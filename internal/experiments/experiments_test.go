@@ -6,6 +6,7 @@ package experiments
 // core (Table 2) packages.
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -239,7 +240,12 @@ func TestAllAndByID(t *testing.T) {
 // TestAllRegeneratesEveryArtifact runs the complete experiment suite once
 // — the same path as `cmd/experiments -exp all` — and checks each
 // artifact rendered non-trivially and that ByID regenerates it byte for
-// byte.
+// byte. That second run pins the bit-identical-runs guarantee the madlint
+// determinism rules exist to protect: every source of randomness in the
+// simulator is either eliminated (virtual time, cooperative scheduling,
+// sorted map iterations) or explicitly seeded (netsim's fault-jitter
+// PRNG), so a diff means map order, wall-clock time or an unseeded
+// generator leaked into simulation behaviour.
 func TestAllRegeneratesEveryArtifact(t *testing.T) {
 	results, err := All()
 	if err != nil {
@@ -267,7 +273,30 @@ func TestAllRegeneratesEveryArtifact(t *testing.T) {
 			continue
 		}
 		if again.Text != r.Text {
-			t.Errorf("ByID(%q) rendered different text than All():\n--- All\n%s\n--- ByID\n%s", r.ID, r.Text, again.Text)
+			t.Errorf("ByID(%q) rendered different text than All():\n%s", r.ID, divergence(r.Text, again.Text))
 		}
 	}
+}
+
+// divergence reports, line by line, where two renderings of an artifact
+// differ.
+func divergence(all, byID string) string {
+	var b strings.Builder
+	la, lb := strings.Split(all, "\n"), strings.Split(byID, "\n")
+	for i := 0; i < len(la) || i < len(lb); i++ {
+		var x, y string
+		if i < len(la) {
+			x = la[i]
+		}
+		if i < len(lb) {
+			y = lb[i]
+		}
+		if x != y {
+			fmt.Fprintf(&b, "line %d diverged:\n  All:  %s\n  ByID: %s\n", i+1, x, y)
+		}
+	}
+	if b.Len() == 0 {
+		return "texts differ but no line diverged (trailing newline?)"
+	}
+	return b.String()
 }

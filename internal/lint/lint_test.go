@@ -145,3 +145,23 @@ func TestRepositoryIsClean(t *testing.T) {
 		t.Errorf("unexpected finding: %s", l)
 	}
 }
+
+// TestPollMachineStepIsNonBlocking covers the dispatcher's other
+// scheduler-context entry point: a parked poller's continuation
+// (vtime's pollWait.step), which dispatch runs with no task running. The
+// may-block graph must prove it non-blocking, while PollWait itself,
+// which parks its caller, must be found blocking.
+func TestPollMachineStepIsNonBlocking(t *testing.T) {
+	prog := load(t, "../vtime")
+	g := buildBlockGraph(prog)
+	step := vtimePath + ".pollWait.step"
+	if g.nodes[step] == nil {
+		t.Fatalf("%s is not in the call graph", step)
+	}
+	if blocks, via := g.mayBlock(step); blocks {
+		t.Errorf("%s may block in virtual time (reaches %s)", step, via)
+	}
+	if blocks, _ := g.mayBlock(vtimePath + ".PollWait"); !blocks {
+		t.Errorf("PollWait not found blocking: the graph cannot see the switch")
+	}
+}

@@ -8,6 +8,10 @@
 // serialized through the process's CPU resource. This is what makes the
 // paper's Figure 9 phenomenon — an idle TCP polling thread degrading SCI
 // latency — emerge structurally rather than being hard-coded.
+//
+// A polling thread's idle ticks do not run on its goroutine: the vtime
+// scheduler steps them as the thread's continuation, with the same event
+// order, and wakes the goroutine only when a poll finds an arrival.
 package marcel
 
 import (
@@ -72,6 +76,9 @@ func (p *Proc) Sleep(d vtime.Duration) { p.S.Sleep(d) }
 // frequency may be selected on a per-protocol basis, enabling low latency
 // networks with cheap polling mechanisms to be polled more frequently than
 // TCP-like networks only providing the expensive select system call").
+// An idle tick (a timed-out wait, then IdleCost on the CPU) is stepped by
+// the scheduler in the same event order as a thread loop would make it;
+// the polling thread's goroutine wakes only when an item arrives.
 type PollSpec struct {
 	// IdleCost is the CPU burned by one unsuccessful poll of the
 	// protocol while waiting (e.g. the select system call for TCP, a
@@ -95,25 +102,13 @@ type PollSpec struct {
 // The idle burn is the load-bearing detail: an idle TCP poller with a
 // costly select keeps stealing CPU slices from the other threads of its
 // process, which is exactly the multi-protocol interference the paper
-// measures in Figure 9.
+// measures in Figure 9. The idle ticks are vtime.PollWait's: the
+// scheduler steps them with the same event order as a loop of PopTimeout
+// and Compute, and the thread's goroutine wakes only on an arrival.
 func WaitPoll[T any](p *Proc, q *vtime.Queue[T], spec PollSpec) T {
-	for {
-		if v, ok := q.TryPop(); ok {
-			p.Compute(spec.DetectCost)
-			return v
-		}
-		if spec.Interval <= 0 {
-			v := q.Pop()
-			p.Compute(spec.DetectCost)
-			return v
-		}
-		if v, ok := q.PopTimeout(spec.Interval); ok {
-			p.Compute(spec.DetectCost)
-			return v
-		}
-		// Idle poll: burn the poll cost and go around.
-		p.Compute(spec.IdleCost)
-	}
+	v := vtime.PollWait(q, p.cpu, spec.Interval, spec.IdleCost, &p.CPUBusy)
+	p.Compute(spec.DetectCost)
+	return v
 }
 
 // TryPollOnce performs a single non-blocking poll of q, paying DetectCost

@@ -89,7 +89,7 @@ func BenchmarkComputeOpts(b *testing.B) {
 }
 
 // BenchmarkComputeEager measures the retained dense all-pairs reference —
-// the planner this PR replaced — on the same shapes, for the before/after
+// the planner the lazy one replaced — on the same shapes, for the before/after
 // record. (1024 ranks is omitted: the eager planner needs tens of seconds
 // per iteration there, which is the point of the refactor.)
 func BenchmarkComputeEager(b *testing.B) {

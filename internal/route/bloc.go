@@ -20,9 +20,9 @@ import (
 //     source can use at the same cost, and the detour hop itself is
 //     strictly positive). So co-members are never interior hops and never
 //     predecessors, and the rank-level problem collapses onto blocs.
-//   - Cost sums are bit-identical to the dense planner's, not just
-//     mathematically equal: both fold the same float64 edge costs
-//     left-to-right along the same bloc sequence.
+//   - Cost sums are bit-identical to the dense planner's (the reference
+//     in dense_test.go), not just mathematically equal: both fold the
+//     same float64 edge costs left-to-right along the same bloc sequence.
 //   - The dense planner's deterministic tie-breaks survive the quotient.
 //     In the dense Dijkstra the final predecessor of v is the
 //     lowest-ranked u with dist(u)+cost(u,v) == dist(v) (every such u

@@ -1,8 +1,8 @@
 package route
 
-// densePlan is the original eager all-pairs planner, retained solely as
-// the reference implementation for the eager==lazy equivalence property
-// tests: it materializes a full Dijkstra tree from every source with the
+// densePlan is the original eager all-pairs planner, kept only as the
+// reference for TestHierarchicalMatchesDense and BenchmarkComputeEager,
+// so it lives in a test file: it materializes a full Dijkstra tree from every source with the
 // O(N^2) linear selection scan the package shipped with. Production
 // queries never touch it — Plan resolves hierarchically (bloc.go) or via
 // memoized per-source heap trees (ranktree.go).

@@ -43,8 +43,9 @@
 //     banned-edge searches and use the same heap Dijkstra, cached per
 //     ordered pair as before.
 //
-// The dense all-pairs implementation is retained in dense.go purely as
-// the reference for the eager==lazy equivalence property test.
+// The dense all-pairs implementation survives only in dense_test.go, as
+// the reference for the eager==lazy equivalence property test and the
+// eager benchmark.
 //
 // Since the multi-path refactor the planner is no longer single-path or
 // open-loop:

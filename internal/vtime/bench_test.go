@@ -57,6 +57,27 @@ func BenchmarkSemHandoff(b *testing.B) {
 	}
 }
 
+// BenchmarkIdlePollTick measures one idle tick of a polling thread (a
+// 25us tick, then 8us of CPU) while another thread wakes once per tick.
+// The dispatcher steps the tick on that thread's goroutine; a poller
+// running its own loop would cost two goroutine hand-offs per tick.
+func BenchmarkIdlePollTick(b *testing.B) {
+	s := New()
+	q := NewQueue[int](s, "rx")
+	cpu := NewSem(s, "n0.cpu", 1)
+	var busy Duration
+	s.GoDaemon("poller", func() { PollWait(q, cpu, 25*Microsecond, 8*Microsecond, &busy) })
+	s.Go("main", func() { // another thread, waking once per tick
+		for i := 0; i < b.N; i++ {
+			s.Sleep(33 * Microsecond)
+		}
+	})
+	b.ResetTimer()
+	if err := s.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
 // BenchmarkReadyQueueThroughput stresses the scheduler's ready-queue ring
 // with a deep queue: hundreds of tasks yielding in round-robin, so every
 // scheduling decision pops from a long FIFO. With the old copy-down pop

@@ -10,8 +10,8 @@ import (
 )
 
 // TestWaitsDoNotAllocate gates the kernel's hot paths: once warm, a
-// sleep, a semaphore hand-off, a queue push/pop and a timed-out
-// PopTimeout allocate nothing. A background daemon keeps a second task
+// sleep, a semaphore hand-off, a queue push/pop, a timed-out PopTimeout
+// and an idle PollWait tick allocate nothing. A background daemon keeps a second task
 // in play so the token really travels between goroutines.
 func TestWaitsDoNotAllocate(t *testing.T) {
 	cases := []struct {
@@ -53,6 +53,21 @@ func TestWaitsDoNotAllocate(t *testing.T) {
 					panic("PopTimeout on an empty queue returned an item")
 				}
 			}
+		}},
+		{"IdlePollTick", func(s *Scheduler) func() {
+			q := NewQueue[int](s, "rx")
+			cpu := NewSem(s, "n0.cpu", 1)
+			var busy Duration
+			s.GoDaemon("poller", func() { PollWait(q, cpu, 25*Microsecond, 8*Microsecond, &busy) })
+			s.GoDaemon("compute", func() { // makes some ticks queue for the CPU
+				for {
+					cpu.Acquire()
+					s.Sleep(5 * Microsecond)
+					cpu.Release()
+					s.Sleep(7 * Microsecond)
+				}
+			})
+			return func() { s.Sleep(33 * Microsecond) } // one idle tick
 		}},
 	}
 	for _, c := range cases {
@@ -140,6 +155,7 @@ func TestBlockingInAtCallbackPanics(t *testing.T) {
 		{"Sem.Acquire", func() { sem.Acquire() }},
 		{"Event.Wait", func() { ev.Wait() }},
 		{"Queue.Pop", func() { q.Pop() }},
+		{"PollWait", func() { PollWait(q, sem, Microsecond, Microsecond, new(Duration)) }},
 	}
 	got := make([]string, len(blocking))
 	s.Go("main", func() {

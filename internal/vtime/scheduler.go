@@ -64,6 +64,12 @@ type Task struct {
 	// waitList is the wait list the task is on, if its wait can time
 	// out; a timeout that fires first detaches the task from it.
 	waitList waitList
+
+	// step, when set, is the continuation of a blocked task: dispatch
+	// runs it in place of resuming the goroutine when the task is next
+	// picked. It returns true if it parked the task again, false once the
+	// goroutine must run.
+	step func() bool
 }
 
 // waitList is a primitive whose waiters may time out. Storing it in an
@@ -239,9 +245,10 @@ func (s *Scheduler) Run() error {
 
 // dispatch runs the event loop on the calling goroutine, with no task
 // running, until a task is ready: it fires due timers and At callbacks
-// in (time, arming) order. It returns the next task, already marked
-// running, or nil once the simulation is over, in which case it has sent
-// the outcome to Run.
+// in (time, arming) order, and steps the continuation of each picked
+// task that has one until it stops parking. It returns the next task,
+// already marked running, or nil once the simulation is over, in which
+// case it has sent the outcome to Run.
 func (s *Scheduler) dispatch() *Task {
 	for {
 		if s.live == 0 {
@@ -251,6 +258,14 @@ func (s *Scheduler) dispatch() *Task {
 		if s.rdyHead < len(s.rdy) {
 			t := s.popReady()
 			t.state = stateRunning
+			if t.step != nil {
+				// Run the continuation where the goroutine would have
+				// resumed, with no task running so it cannot block.
+				if t.step() {
+					continue
+				}
+				t.step = nil
+			}
 			s.running = t
 			return t
 		}
@@ -457,10 +472,15 @@ func (s *Scheduler) Sleep(d Duration) {
 		s.Yield()
 		return
 	}
+	s.doze(t, d)
+	s.switchOut(t)
+}
+
+// doze marks t asleep until d from now, without switching.
+func (s *Scheduler) doze(t *Task, d Duration) {
 	s.addTimer(timer{when: s.now.Add(d), task: t, gen: t.waitGen})
 	t.state = stateBlocked
 	t.waitKind, t.waitName = "sleep", ""
-	s.switchOut(t)
 }
 
 // Yield places the current task at the back of the ready queue and runs
@@ -493,6 +513,15 @@ func (s *Scheduler) After(d Duration, fn func()) { s.At(s.now.Add(d), fn) }
 // detaches the task from if it wins. Returns true if it timed out.
 // The caller must have registered the task on a wait list already.
 func (s *Scheduler) block(t *Task, kind, name string, timeout Duration, wl waitList) bool {
+	s.await(t, kind, name, timeout, wl)
+	s.switchOut(t)
+	return t.timedOut
+}
+
+// await is block without the switch: it marks t blocked and arms its
+// timeout, for a caller that gives up the token itself or, from a
+// continuation, not at all.
+func (s *Scheduler) await(t *Task, kind, name string, timeout Duration, wl waitList) {
 	t.state = stateBlocked
 	t.waitKind, t.waitName = kind, name
 	t.timedOut = false
@@ -500,8 +529,6 @@ func (s *Scheduler) block(t *Task, kind, name string, timeout Duration, wl waitL
 	if timeout >= 0 {
 		s.addTimer(timer{when: s.now.Add(timeout), task: t, gen: t.waitGen, isTimeout: true})
 	}
-	s.switchOut(t)
-	return t.timedOut
 }
 
 // wake moves a blocked task to the ready queue. Safe to call from task or

@@ -16,7 +16,18 @@
 // task is the caller, no channel is touched at all. Run only starts the
 // first dispatch and waits for the outcome. Waits allocate nothing: wait
 // reasons are stored as kind and name and rendered only for a deadlock
-// report, and timers are values in a hand-written heap.
+// report, and timers are values in a hand-written heap. (PollWait
+// allocates its state once per call; its idle ticks allocate nothing.)
+//
+// A blocked task may leave a continuation instead of waiting to be
+// resumed: when the event loop picks the task, it runs the continuation
+// right there, with no task running, so the continuation cannot block.
+// If the continuation parks the task again, the loop goes on; otherwise
+// the task's goroutine gets the token. PollWait uses this to step the
+// idle ticks of a polling thread (timed-out wait, CPU burn) without
+// waking its goroutine, arming the same timers and making the same
+// wait-list and ready-queue entries, in the same order, as a loop on
+// that goroutine would.
 package vtime
 
 import "fmt"
