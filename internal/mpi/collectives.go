@@ -17,9 +17,11 @@ const (
 func (c *Comm) collCtx() int { return c.ctx + 1 }
 
 // Every blocking collective below is its nonblocking twin compiled and
-// immediately waited on: the schedule compilers in this file (flat) and
-// hcoll.go (two-level) hold the only algorithm bodies, so a new algorithm
-// is a new compiler and nothing else.
+// immediately waited on. The schedule compilers hold the only algorithm
+// bodies — flat and ring ones in this file, two-level ones in hcoll.go,
+// multi-leader ones in hmulti.go — built from the round primitives in
+// schedule.go and reached through the dispatch table in nbc.go, so a new
+// algorithm is a new compiler plus a table entry and nothing else.
 
 // Barrier blocks until all members have entered it (MPI_Barrier).
 func (c *Comm) Barrier() error {
@@ -97,7 +99,7 @@ func (c *Comm) Alltoall(sendBuf []byte, recvBuf []byte, count int, dt Datatype) 
 
 // compileBarrierFlat is the dissemination algorithm: ceil(log2 n) rounds
 // of 0-byte exchanges.
-func (c *Comm) compileBarrierFlat() *schedule {
+func (c *Comm) compileBarrierFlat(collArgs) *schedule {
 	n := c.Size()
 	b := newSched("barrier")
 	for k := 1; k < n; k <<= 1 {
@@ -108,106 +110,61 @@ func (c *Comm) compileBarrierFlat() *schedule {
 	return b.build(nil)
 }
 
-// bcastFlatRounds appends the binomial-tree broadcast of data (already
-// populated at the root by earlier rounds or at compile time) rooted at
-// root: one receive round from the parent, then the fan-out sends in
-// largest-stride-first order.
-func (c *Comm) bcastFlatRounds(b *schedBuilder, data []byte, root int) {
-	n := c.Size()
-	rel := (c.myRank - root + n) % n
-	mask := 1
-	for mask < n {
-		if rel&mask != 0 {
-			b.recv((rel-mask+root)%n, data)
-			b.endRound()
-			break
-		}
-		mask <<= 1
+// bcastData is a broadcast's staging vector: the root's packed payload,
+// a fresh buffer to receive into everywhere else.
+func (c *Comm) bcastData(a collArgs) []byte {
+	if c.myRank == a.root {
+		return PackBuf(a.send, a.count, a.dt)
 	}
-	mask >>= 1
-	for mask > 0 {
-		if rel+mask < n {
-			b.send((rel+mask+root)%n, data)
-		}
-		mask >>= 1
-	}
-	b.endRound()
+	return make([]byte, a.count*a.dt.Size())
 }
 
 // compileBcastFlat: the topology-blind binomial tree, latency O(log n).
-func (c *Comm) compileBcastFlat(buf []byte, count int, dt Datatype, root int) *schedule {
-	var data []byte
-	if c.myRank == root {
-		data = PackBuf(buf, count, dt)
-	} else {
-		data = make([]byte, count*dt.Size())
-	}
+func (c *Comm) compileBcastFlat(a collArgs) *schedule {
+	data := c.bcastData(a)
 	b := newSched("bcast")
-	c.bcastFlatRounds(b, data, root)
-	return b.build(func() {
-		if c.myRank != root {
-			c.p.M.Compute(c.p.memTime(len(data)))
-			UnpackBuf(buf, count, dt, data)
-		}
-	})
+	parent, children := binomial(c.Size(), a.root, c.myRank)
+	b.fanOut(parent, children, data)
+	return b.build(c.finUnpack(c.myRank != a.root, a.recv, a.count, a.dt, data))
 }
 
-// reduceFlatRounds appends the binomial reduction tree rooted at root and
-// returns the accumulator buffer, which holds the full reduction at the
-// root once the rounds have run.
-func (c *Comm) reduceFlatRounds(b *schedBuilder, sendBuf []byte, count int, dt Datatype, op Op, root int) []byte {
-	n := c.Size()
-	acc := make([]byte, count*dt.Size())
-	b.copyStep(acc, PackBuf(sendBuf, count, dt))
-	b.endRound()
-	rel := (c.myRank - root + n) % n
-	mask := 1
-	for mask < n {
-		if rel&mask != 0 {
-			b.send((rel-mask+root)%n, acc)
-			b.endRound()
-			break
-		}
-		if rel+mask < n {
-			part := make([]byte, len(acc))
-			b.recv((rel+mask+root)%n, part)
-			b.reduce(acc, part, count, dt, op)
-			b.endRound()
-		}
-		mask <<= 1
+// reduceFlatRounds appends the binomial reduction tree rooted at root —
+// one round per child, smallest subtree first, then the send to the
+// parent — and returns the accumulator, which holds the full reduction
+// at the root once the rounds have run.
+func (c *Comm) reduceFlatRounds(b *schedBuilder, a collArgs, root int) []byte {
+	acc := b.accumulator(a.send, a.count, a.dt)
+	parent, children := binomial(c.Size(), root, c.myRank)
+	for i := len(children) - 1; i >= 0; i-- {
+		b.fanIn(-1, children[i:i+1], acc, a.count, a.dt, a.op)
 	}
+	b.fanIn(parent, nil, acc, a.count, a.dt, a.op)
 	return acc
 }
 
 // compileReduceFlat: the topology-blind binomial reduction tree.
-func (c *Comm) compileReduceFlat(sendBuf, recvBuf []byte, count int, dt Datatype, op Op, root int) *schedule {
+func (c *Comm) compileReduceFlat(a collArgs) *schedule {
 	b := newSched("reduce")
-	acc := c.reduceFlatRounds(b, sendBuf, count, dt, op, root)
-	return b.build(func() {
-		if c.myRank == root {
-			c.p.M.Compute(c.p.memTime(len(acc)))
-			UnpackBuf(recvBuf, count, dt, acc)
-		}
-	})
+	acc := c.reduceFlatRounds(b, a, a.root)
+	return b.build(c.finUnpack(c.myRank == a.root, a.recv, a.count, a.dt, acc))
 }
 
 // compileAllreduceFlat chains the flat reduce-to-0 rounds with the flat
 // broadcast-from-0 rounds over one shared accumulator.
-func (c *Comm) compileAllreduceFlat(sendBuf, recvBuf []byte, count int, dt Datatype, op Op) *schedule {
+func (c *Comm) compileAllreduceFlat(a collArgs) *schedule {
 	b := newSched("allreduce")
-	acc := c.reduceFlatRounds(b, sendBuf, count, dt, op, 0)
-	c.bcastFlatRounds(b, acc, 0)
-	return b.build(func() {
-		c.p.M.Compute(c.p.memTime(len(acc)))
-		UnpackBuf(recvBuf, count, dt, acc)
-	})
+	acc := c.reduceFlatRounds(b, a, 0)
+	parent, children := binomial(c.Size(), 0, c.myRank)
+	b.fanOut(parent, children, acc)
+	return b.build(c.finUnpack(true, a.recv, a.count, a.dt, acc))
 }
 
 // compileGatherFlat: every member ships its block straight to the root.
-func (c *Comm) compileGatherFlat(sendBuf, recvBuf []byte, count int, dt Datatype, root int) *schedule {
+func (c *Comm) compileGatherFlat(a collArgs) *schedule {
+	count, dt, root := a.count, a.dt, a.root
 	sz := count * dt.Size()
 	ex := dt.Extent()
-	mine := PackBuf(sendBuf, count, dt)
+	mine := PackBuf(a.send, count, dt)
 	b := newSched("gather")
 	if c.myRank != root {
 		b.send(root, mine)
@@ -224,23 +181,24 @@ func (c *Comm) compileGatherFlat(sendBuf, recvBuf []byte, count int, dt Datatype
 	b.endRound()
 	return b.build(func() {
 		c.p.M.Compute(c.p.memTime(sz))
-		UnpackBuf(recvBuf[root*count*ex:], count, dt, mine)
+		UnpackBuf(a.recv[root*count*ex:], count, dt, mine)
 		for r := 0; r < c.Size(); r++ {
 			if r == root {
 				continue
 			}
-			UnpackBuf(recvBuf[r*count*ex:], count, dt, slots[r])
+			UnpackBuf(a.recv[r*count*ex:], count, dt, slots[r])
 		}
 	})
 }
 
 // compileAllgatherFlat is the ring algorithm: n-1 rounds, each forwarding
 // the block received in the previous round.
-func (c *Comm) compileAllgatherFlat(sendBuf, recvBuf []byte, count int, dt Datatype) *schedule {
+func (c *Comm) compileAllgatherFlat(a collArgs) *schedule {
 	n := c.Size()
+	count, dt := a.count, a.dt
 	sz := count * dt.Size()
 	ex := dt.Extent()
-	mine := PackBuf(sendBuf, count, dt)
+	mine := PackBuf(a.send, count, dt)
 	own := make([]byte, sz)
 	right := (c.myRank + 1) % n
 	left := (c.myRank - 1 + n) % n
@@ -258,18 +216,19 @@ func (c *Comm) compileAllgatherFlat(sendBuf, recvBuf []byte, count int, dt Datat
 		cur = incoming[s]
 	}
 	return b.build(func() {
-		UnpackBuf(recvBuf[c.myRank*count*ex:], count, dt, own)
+		UnpackBuf(a.recv[c.myRank*count*ex:], count, dt, own)
 		for s := 0; s < n-1; s++ {
 			owner := (c.myRank - s - 1 + 2*n) % n
-			UnpackBuf(recvBuf[owner*count*ex:], count, dt, incoming[s])
+			UnpackBuf(a.recv[owner*count*ex:], count, dt, incoming[s])
 		}
 	})
 }
 
 // compileAlltoallFlat is the pairwise rotation: n rounds, exchanging with
 // partners at increasing rank distance.
-func (c *Comm) compileAlltoallFlat(sendBuf, recvBuf []byte, count int, dt Datatype) *schedule {
+func (c *Comm) compileAlltoallFlat(a collArgs) *schedule {
 	n := c.Size()
+	count, dt := a.count, a.dt
 	sz := count * dt.Size()
 	ex := dt.Extent()
 	b := newSched("alltoall")
@@ -278,7 +237,7 @@ func (c *Comm) compileAlltoallFlat(sendBuf, recvBuf []byte, count int, dt Dataty
 	for step := 0; step < n; step++ {
 		to := (c.myRank + step) % n
 		from := (c.myRank - step + n) % n
-		out := PackBuf(sendBuf[to*count*ex:], count, dt)
+		out := PackBuf(a.send[to*count*ex:], count, dt)
 		if to == c.myRank {
 			b.copyStep(selfStage, out)
 			b.endRound()
@@ -290,12 +249,12 @@ func (c *Comm) compileAlltoallFlat(sendBuf, recvBuf []byte, count int, dt Dataty
 		b.endRound()
 	}
 	return b.build(func() {
-		UnpackBuf(recvBuf[c.myRank*count*ex:], count, dt, selfStage)
+		UnpackBuf(a.recv[c.myRank*count*ex:], count, dt, selfStage)
 		for from := 0; from < n; from++ {
 			if from == c.myRank {
 				continue
 			}
-			UnpackBuf(recvBuf[from*count*ex:], count, dt, in[from])
+			UnpackBuf(a.recv[from*count*ex:], count, dt, in[from])
 		}
 	})
 }
@@ -368,50 +327,42 @@ func (c *Comm) ringAGRounds(b *schedBuilder, members []int, myPos int, data []by
 	}
 }
 
-// compileAllreduceRing is the flat bandwidth-optimal ring allreduce: ring
-// reduce-scatter then ring allgather, 2·(n−1) latency rounds but only
-// 2·(n−1)/n of the vector on each link.
-func (c *Comm) compileAllreduceRing(sendBuf, recvBuf []byte, count int, dt Datatype, op Op) *schedule {
-	n := c.Size()
-	members := make([]int, n)
+// worldMembers is the communicator's own rank list, the flat rings'
+// member list.
+func (c *Comm) worldMembers() []int {
+	members := make([]int, c.Size())
 	for i := range members {
 		members[i] = i
 	}
-	acc := make([]byte, count*dt.Size())
-	bounds := splitBounds(count, n)
+	return members
+}
+
+// compileAllreduceRing is the flat bandwidth-optimal ring allreduce: ring
+// reduce-scatter then ring allgather, 2·(n−1) latency rounds but only
+// 2·(n−1)/n of the vector on each link.
+func (c *Comm) compileAllreduceRing(a collArgs) *schedule {
+	members := c.worldMembers()
 	b := newSched("allreduce.ring")
-	b.copyStep(acc, PackBuf(sendBuf, count, dt))
-	b.endRound()
-	c.ringRSRounds(b, members, c.myRank, acc, bounds, dt, op)
-	c.ringAGRounds(b, members, c.myRank, acc, bounds, dt.Size())
-	return b.build(func() {
-		c.p.M.Compute(c.p.memTime(len(acc)))
-		UnpackBuf(recvBuf, count, dt, acc)
-	})
+	acc := b.accumulator(a.send, a.count, a.dt)
+	bounds := splitBounds(a.count, len(members))
+	c.ringRSRounds(b, members, c.myRank, acc, bounds, a.dt, a.op)
+	c.ringAGRounds(b, members, c.myRank, acc, bounds, a.dt.Size())
+	return b.build(c.finUnpack(true, a.recv, a.count, a.dt, acc))
 }
 
 // compileReduceScatterRing is the flat ring reduce-scatter: after n−1
 // rounds each rank owns its fully reduced block, with (n−1)/n of the
 // vector moved per link — no root bottleneck, no full-vector broadcast.
-func (c *Comm) compileReduceScatterRing(sendBuf, recvBuf []byte, countPerRank int, dt Datatype, op Op) *schedule {
+func (c *Comm) compileReduceScatterRing(a collArgs) *schedule {
 	n := c.Size()
-	members := make([]int, n)
-	for i := range members {
-		members[i] = i
-	}
-	total := countPerRank * n
-	es := dt.Size()
-	acc := make([]byte, total*es)
-	bounds := splitBounds(total, n) // equal blocks: bounds[i] = i*countPerRank
+	total := a.count * n
+	es := a.dt.Size()
 	b := newSched("redscat.ring")
-	b.copyStep(acc, PackBuf(sendBuf, total, dt))
-	b.endRound()
-	c.ringRSRounds(b, members, c.myRank, acc, bounds, dt, op)
+	acc := b.accumulator(a.send, total, a.dt)
+	bounds := splitBounds(total, n) // equal blocks: bounds[i] = i*count
+	c.ringRSRounds(b, c.worldMembers(), c.myRank, acc, bounds, a.dt, a.op)
 	mine := acc[bounds[c.myRank]*es : bounds[c.myRank+1]*es]
-	return b.build(func() {
-		c.p.M.Compute(c.p.memTime(len(mine)))
-		UnpackBuf(recvBuf, countPerRank, dt, mine)
-	})
+	return b.build(c.finUnpack(true, a.recv, a.count, a.dt, mine))
 }
 
 // ---- Remaining direct (non-scheduled) collectives ----

@@ -18,12 +18,19 @@
 //
 // Algorithm selection happens once, at compile time, through the tuning
 // table in topology.go (operation kind × payload size × cluster shape →
-// flat, two-level, two-level segmented, ring, or two-level ring). The
-// flat compilers live in collectives.go, the two-level ones in hcoll.go;
+// flat, ring, two-level, two-level segmented, two-level ring or
+// multi-leader). Every Icoll entry then calls the compiler the dispatch
+// table in nbc.go holds for that (operation, family) pair; the same
+// table tells sanitizeAlgo which pairs exist and the autotuner which
+// candidates to time. The flat and ring compilers live in collectives.go,
+// the two-level ones in hcoll.go and the multi-leader ones in hmulti.go,
+// all built from the round primitives of schedule.go (binomial trees,
+// fan-out, fan-in, leader bundle gather, pre-posted pairwise exchange);
 // each algorithm has exactly one body, shared by the blocking and
 // nonblocking entry points. Adding an algorithm means adding a compiler
-// and a tuning-table row — the executor, request handling and progress
-// rules are untouched.
+// and a table entry — the executor, request handling and progress rules
+// are untouched. testdata/schedules.golden pins every compiled schedule
+// step for step.
 //
 // # Ring schedules
 //

@@ -7,50 +7,14 @@ package mpi
 // adversarial rank placements). See topology.go for the selection logic
 // and schedule.go for the execution model these compile into.
 
-// binomialOver computes a binomial tree over an explicit rank list rooted
-// at position rootPos, returning myPos's parent (-1 at the root) and
-// children (largest stride first, matching the flat binomial fan-out).
-func binomialOver(members []int, rootPos, myPos int) (parent int, children []int) {
-	parent = -1
-	n := len(members)
-	rel := (myPos - rootPos + n) % n
-	mask := 1
-	for mask < n {
-		if rel&mask != 0 {
-			parent = members[(rel-mask+rootPos)%n]
-			break
-		}
-		mask <<= 1
-	}
-	mask >>= 1
-	for mask > 0 {
-		if rel+mask < n {
-			children = append(children, members[(rel+mask+rootPos)%n])
-		}
-		mask >>= 1
-	}
-	return parent, children
-}
-
 // compileBarrierHier: fan-in then fan-out over the two-level tree rooted
 // at comm rank 0. The slow backbone carries exactly 2·(#clusters−1) empty
 // messages, versus the dissemination algorithm's n·ceil(log2 n).
-func (c *Comm) compileBarrierHier() *schedule {
+func (c *Comm) compileBarrierHier(collArgs) *schedule {
 	parent, children := c.topo().twoLevelTree(c.myRank, 0)
 	b := newSched("barrier.h")
-	for i := len(children) - 1; i >= 0; i-- {
-		b.recv(children[i], nil)
-	}
-	b.endRound()
-	if parent >= 0 {
-		b.send(parent, nil)
-		b.endRound()
-		b.recv(parent, nil)
-		b.endRound()
-	}
-	for _, ch := range children {
-		b.send(ch, nil)
-	}
+	b.fanIn(parent, children, nil, 0, nil, nil)
+	b.fanOut(parent, children, nil)
 	return b.build(nil)
 }
 
@@ -73,38 +37,16 @@ func (c *Comm) bcastHierRounds(b *schedBuilder, data []byte, root, segBytes int)
 	}
 	for s := 0; s < nseg; s++ {
 		lo := s * seg
-		hi := lo + seg
-		if hi > total {
-			hi = total
-		}
-		chunk := data[lo:hi]
-		if parent >= 0 {
-			b.recv(parent, chunk)
-			b.endRound()
-		}
-		for _, ch := range children {
-			b.send(ch, chunk)
-		}
-		b.endRound()
+		b.fanOut(parent, children, data[lo:min(lo+seg, total)])
 	}
 }
 
 // compileBcastHier broadcasts through the two-level tree.
-func (c *Comm) compileBcastHier(buf []byte, count int, dt Datatype, root, segBytes int) *schedule {
-	var data []byte
-	if c.myRank == root {
-		data = PackBuf(buf, count, dt)
-	} else {
-		data = make([]byte, count*dt.Size())
-	}
+func (c *Comm) compileBcastHier(a collArgs, segBytes int) *schedule {
+	data := c.bcastData(a)
 	b := newSched("bcast.h")
-	c.bcastHierRounds(b, data, root, segBytes)
-	return b.build(func() {
-		if c.myRank != root {
-			c.p.M.Compute(c.p.memTime(len(data)))
-			UnpackBuf(buf, count, dt, data)
-		}
-	})
+	c.bcastHierRounds(b, data, a.root, segBytes)
+	return b.build(c.finUnpack(c.myRank != a.root, a.recv, a.count, a.dt, data))
 }
 
 // reduceHierRounds appends the reduction along the reversed two-level
@@ -112,86 +54,54 @@ func (c *Comm) compileBcastHier(buf []byte, count int, dt Datatype, root, segByt
 // (intra-cluster children first, so the single backbone message carries a
 // fully reduced cluster contribution) and forwards one message to its
 // parent. Returns the accumulator, complete at the root.
-func (c *Comm) reduceHierRounds(b *schedBuilder, sendBuf []byte, count int, dt Datatype, op Op, root int) []byte {
+func (c *Comm) reduceHierRounds(b *schedBuilder, a collArgs, root int) []byte {
 	parent, children := c.topo().twoLevelTree(c.myRank, root)
-	acc := make([]byte, count*dt.Size())
-	b.copyStep(acc, PackBuf(sendBuf, count, dt))
-	b.endRound()
-	for i := len(children) - 1; i >= 0; i-- {
-		part := make([]byte, len(acc))
-		b.recv(children[i], part)
-		b.reduce(acc, part, count, dt, op)
-	}
-	b.endRound()
-	if parent >= 0 {
-		b.send(parent, acc)
-		b.endRound()
-	}
+	acc := b.accumulator(a.send, a.count, a.dt)
+	b.fanIn(parent, children, acc, a.count, a.dt, a.op)
 	return acc
 }
 
 // compileReduceHier: two-level reduction to root.
-func (c *Comm) compileReduceHier(sendBuf, recvBuf []byte, count int, dt Datatype, op Op, root int) *schedule {
+func (c *Comm) compileReduceHier(a collArgs) *schedule {
 	b := newSched("reduce.h")
-	acc := c.reduceHierRounds(b, sendBuf, count, dt, op, root)
-	return b.build(func() {
-		if c.myRank == root {
-			c.p.M.Compute(c.p.memTime(len(acc)))
-			UnpackBuf(recvBuf, count, dt, acc)
-		}
-	})
+	acc := c.reduceHierRounds(b, a, a.root)
+	return b.build(c.finUnpack(c.myRank == a.root, a.recv, a.count, a.dt, acc))
 }
 
 // compileAllreduceHier chains reduce-to-0 with broadcast-from-0, both
 // two-level: the backbone carries one reduced vector per cluster inbound
 // and one result vector per cluster outbound — once per slow link per
 // direction.
-func (c *Comm) compileAllreduceHier(sendBuf, recvBuf []byte, count int, dt Datatype, op Op) *schedule {
+func (c *Comm) compileAllreduceHier(a collArgs) *schedule {
 	b := newSched("allreduce.h")
-	acc := c.reduceHierRounds(b, sendBuf, count, dt, op, 0)
+	acc := c.reduceHierRounds(b, a, 0)
 	c.bcastHierRounds(b, acc, 0, c.bcastSegment(len(acc)))
-	return b.build(func() {
-		c.p.M.Compute(c.p.memTime(len(acc)))
-		UnpackBuf(recvBuf, count, dt, acc)
-	})
+	return b.build(c.finUnpack(true, a.recv, a.count, a.dt, acc))
 }
 
 // compileGatherHier gathers via cluster-leader staging: members send
 // their block to their cluster's operation leader (the root stands in for
 // its own cluster), each leader concatenates its cluster's blocks in rank
 // order and ships one bundle to the root over the backbone.
-func (c *Comm) compileGatherHier(sendBuf, recvBuf []byte, count int, dt Datatype, root int) *schedule {
+func (c *Comm) compileGatherHier(a collArgs) *schedule {
 	ct := c.topo()
+	count, dt := a.count, a.dt
 	sz := count * dt.Size()
 	ex := dt.Extent()
 
-	rootCluster := ct.clusterOf[root]
 	leader := ct.leaders[ct.myCluster]
-	if ct.myCluster == rootCluster {
-		leader = root
+	if ct.myCluster == ct.clusterOf[a.root] {
+		leader = a.root
 	}
-	mine := PackBuf(sendBuf, count, dt)
 	b := newSched("gather.h")
-
+	// Stage my cluster's blocks at the leader, in ascending comm-rank
+	// order.
+	bundle := b.gatherBundle(c.myRank, leader, ct.clusters[ct.myCluster], PackBuf(a.send, count, dt))
 	if c.myRank != leader {
-		b.send(leader, mine)
 		return b.build(nil)
 	}
-
-	// Leader: stage my cluster's blocks, in ascending comm-rank order.
-	members := ct.clusters[ct.myCluster]
-	bundle := make([]byte, len(members)*sz)
-	for i, m := range members {
-		slot := bundle[i*sz : (i+1)*sz]
-		if m == c.myRank {
-			b.copyStep(slot, mine)
-			continue
-		}
-		b.recv(m, slot)
-	}
-	b.endRound()
-	if c.myRank != root {
-		b.send(root, bundle)
+	if c.myRank != a.root {
+		b.send(a.root, bundle)
 		return b.build(nil)
 	}
 
@@ -209,7 +119,7 @@ func (c *Comm) compileGatherHier(sendBuf, recvBuf []byte, count int, dt Datatype
 	return b.build(func() {
 		place := func(di int, bun []byte) {
 			for i, m := range ct.clusters[di] {
-				UnpackBuf(recvBuf[m*count*ex:], count, dt, bun[i*sz:(i+1)*sz])
+				UnpackBuf(a.recv[m*count*ex:], count, dt, bun[i*sz:(i+1)*sz])
 			}
 		}
 		place(ct.myCluster, bundle)
@@ -227,47 +137,30 @@ func (c *Comm) compileGatherHier(sendBuf, recvBuf []byte, count int, dt Datatype
 // bundle exchange among leaders (receives pre-posted, so concurrent
 // rendez-vous sends cannot deadlock), then an intra-cluster broadcast of
 // the fully assembled vector.
-func (c *Comm) compileAllgatherHier(sendBuf, recvBuf []byte, count int, dt Datatype) *schedule {
+func (c *Comm) compileAllgatherHier(a collArgs) *schedule {
 	ct := c.topo()
 	n := c.Size()
-	sz := count * dt.Size()
-	ex := dt.Extent()
+	sz := a.count * a.dt.Size()
 
 	members, myPos, leaderPos := c.clusterPos()
 	leader := ct.leaders[ct.myCluster]
-	mine := PackBuf(sendBuf, count, dt)
 	full := make([]byte, n*sz) // packed world vector, comm-rank order
 	b := newSched("allgather.h")
 
+	bundle := b.gatherBundle(c.myRank, leader, members, PackBuf(a.send, a.count, a.dt))
 	if c.myRank == leader {
-		bundle := make([]byte, len(members)*sz)
-		for i, m := range members {
-			slot := bundle[i*sz : (i+1)*sz]
-			if m == c.myRank {
-				b.copyStep(slot, mine)
-				continue
-			}
-			b.recv(m, slot)
-		}
-		b.endRound()
 		// Leader exchange: every leader ships its cluster bundle to every
 		// other leader; L·(L−1) backbone messages total, one per directed
 		// leader pair.
 		bundles := make([][]byte, ct.nClusters)
-		bundles[ct.myCluster] = bundle
-		for di := 0; di < ct.nClusters; di++ {
-			if di == ct.myCluster {
-				continue
+		out := make([][]byte, ct.nClusters)
+		for di := range bundles {
+			bundles[di], out[di] = bundle, bundle
+			if di != ct.myCluster {
+				bundles[di] = make([]byte, len(ct.clusters[di])*sz)
 			}
-			bundles[di] = make([]byte, len(ct.clusters[di])*sz)
-			b.recv(ct.leaders[di], bundles[di])
 		}
-		for di := 0; di < ct.nClusters; di++ {
-			if di == ct.myCluster {
-				continue
-			}
-			b.send(ct.leaders[di], bundle)
-		}
+		b.exchange(ct.leaders, ct.myCluster, bundles, out)
 		b.endRound()
 		// Assemble the world vector from the cluster bundles.
 		for di := 0; di < ct.nClusters; di++ {
@@ -276,26 +169,12 @@ func (c *Comm) compileAllgatherHier(sendBuf, recvBuf []byte, count int, dt Datat
 			}
 		}
 		b.endRound()
-	} else {
-		b.send(leader, mine)
-		b.endRound()
 	}
 
 	// Intra-cluster broadcast of the assembled vector.
 	parent, children := binomialOver(members, leaderPos, myPos)
-	if parent >= 0 {
-		b.recv(parent, full)
-		b.endRound()
-	}
-	for _, ch := range children {
-		b.send(ch, full)
-	}
-	return b.build(func() {
-		c.p.M.Compute(c.p.memTime(n * sz))
-		for r := 0; r < n; r++ {
-			UnpackBuf(recvBuf[r*count*ex:], count, dt, full[r*sz:(r+1)*sz])
-		}
-	})
+	b.fanOut(parent, children, full)
+	return b.build(c.finUnpack(true, a.recv, n*a.count, a.dt, full))
 }
 
 // ---- Two-level ring compilers ----
@@ -331,23 +210,20 @@ func (c *Comm) clusterPos() (members []int, myPos, leaderPos int) {
 // intra-cluster ring allgather. Each fast link carries ~2·(m−1)/m of the
 // vector instead of the binomial phases' log(m) full copies; the backbone
 // still sees one vector per cluster per direction.
-func (c *Comm) compileAllreduceRingHier(sendBuf, recvBuf []byte, count int, dt Datatype, op Op) *schedule {
+func (c *Comm) compileAllreduceRingHier(a collArgs) *schedule {
 	ct := c.topo()
 	members, myPos, _ := c.clusterPos()
-	m := len(members)
 	leader := ct.leaders[ct.myCluster]
-	es := dt.Size()
-	acc := make([]byte, count*es)
-	bounds := splitBounds(count, m)
-	chunk := func(i int) []byte { return acc[bounds[i]*es : bounds[i+1]*es] }
+	es := a.dt.Size()
+	bounds := splitBounds(a.count, len(members))
 
 	b := newSched("allreduce.ringh")
-	b.copyStep(acc, PackBuf(sendBuf, count, dt))
-	b.endRound()
+	acc := b.accumulator(a.send, a.count, a.dt)
+	chunk := func(i int) []byte { return acc[bounds[i]*es : bounds[i+1]*es] }
 
 	// Phase A: intra-cluster ring reduce-scatter — member at position i
 	// ends up holding the cluster-reduced chunk i.
-	c.ringRSRounds(b, members, myPos, acc, bounds, dt, op)
+	c.ringRSRounds(b, members, myPos, acc, bounds, a.dt, a.op)
 
 	// Phase B: chunks converge on the leader, which reassembles the
 	// cluster-reduced full vector in acc.
@@ -366,22 +242,8 @@ func (c *Comm) compileAllreduceRingHier(sendBuf, recvBuf []byte, count int, dt D
 		// cluster leaders to cluster 0's leader, result broadcast back down
 		// the same leader tree.
 		parent, children := binomialOver(ct.leaders, 0, ct.myCluster)
-		for i := len(children) - 1; i >= 0; i-- {
-			part := make([]byte, len(acc))
-			b.recv(children[i], part)
-			b.reduce(acc, part, count, dt, op)
-		}
-		b.endRound()
-		if parent >= 0 {
-			b.send(parent, acc)
-			b.endRound()
-			b.recv(parent, acc)
-			b.endRound()
-		}
-		for _, ch := range children {
-			b.send(ch, acc)
-		}
-		b.endRound()
+		b.fanIn(parent, children, acc, a.count, a.dt, a.op)
+		b.fanOut(parent, children, acc)
 	}
 
 	// Phase D: scatter the result chunks back and circulate them with the
@@ -399,10 +261,7 @@ func (c *Comm) compileAllreduceRingHier(sendBuf, recvBuf []byte, count int, dt D
 		b.endRound()
 	}
 	c.ringAGRounds(b, members, myPos, acc, bounds, es)
-	return b.build(func() {
-		c.p.M.Compute(c.p.memTime(len(acc)))
-		UnpackBuf(recvBuf, count, dt, acc)
-	})
+	return b.build(c.finUnpack(true, a.recv, a.count, a.dt, acc))
 }
 
 // compileReduceScatterRingHier is the two-level ring reduce-scatter:
@@ -413,26 +272,23 @@ func (c *Comm) compileAllreduceRingHier(sendBuf, recvBuf []byte, count int, dt D
 // of the full vector — and finally each leader scatters the globally
 // reduced block to its member. Bundle layout from X to Y: Y's members'
 // blocks in ascending member order.
-func (c *Comm) compileReduceScatterRingHier(sendBuf, recvBuf []byte, countPerRank int, dt Datatype, op Op) *schedule {
+func (c *Comm) compileReduceScatterRingHier(a collArgs) *schedule {
 	ct := c.topo()
-	n := c.Size()
 	members, myPos, _ := c.clusterPos()
-	m := len(members)
 	leader := ct.leaders[ct.myCluster]
-	es := dt.Size()
-	sz := countPerRank * es
-	total := countPerRank * n
-	acc := make([]byte, total*es)
-	bounds := splitBounds(total, m)
-	chunk := func(i int) []byte { return acc[bounds[i]*es : bounds[i+1]*es] }
-	block := func(r int) []byte { return acc[r*sz : (r+1)*sz] }
+	es := a.dt.Size()
+	sz := a.count * es
+	total := a.count * c.Size()
+	bounds := splitBounds(total, len(members))
 
 	b := newSched("redscat.ringh")
-	b.copyStep(acc, PackBuf(sendBuf, total, dt))
-	b.endRound()
+	acc := b.accumulator(a.send, total, a.dt)
+	chunk := func(i int) []byte { return acc[bounds[i]*es : bounds[i+1]*es] }
+	block := func(r int) []byte { return acc[r*sz : (r+1)*sz] }
+	fin := c.finUnpack(true, a.recv, a.count, a.dt, block(c.myRank))
 
 	// Phase A: intra-cluster ring reduce-scatter over m chunks.
-	c.ringRSRounds(b, members, myPos, acc, bounds, dt, op)
+	c.ringRSRounds(b, members, myPos, acc, bounds, a.dt, a.op)
 
 	if c.myRank != leader {
 		// Phase B: my cluster-reduced chunk to the leader; Phase D: my
@@ -441,10 +297,7 @@ func (c *Comm) compileReduceScatterRingHier(sendBuf, recvBuf []byte, countPerRan
 		b.endRound()
 		b.recv(leader, block(c.myRank))
 		b.endRound()
-		return b.build(func() {
-			c.p.M.Compute(c.p.memTime(sz))
-			UnpackBuf(recvBuf, countPerRank, dt, block(c.myRank))
-		})
+		return b.build(fin)
 	}
 
 	// Leader: reassemble the cluster-reduced full vector.
@@ -468,30 +321,19 @@ func (c *Comm) compileReduceScatterRingHier(sendBuf, recvBuf []byte, countPerRan
 		}
 		dm := ct.clusters[di]
 		out[di] = make([]byte, len(dm)*sz)
+		in[di] = make([]byte, len(members)*sz)
 		for j, dr := range dm {
 			b.copyStep(out[di][j*sz:(j+1)*sz], block(dr))
 		}
 	}
 	b.endRound()
-	for di := 0; di < ct.nClusters; di++ {
-		if di == ct.myCluster {
-			continue
-		}
-		in[di] = make([]byte, len(members)*sz)
-		b.recv(ct.leaders[di], in[di])
-	}
-	for di := 0; di < ct.nClusters; di++ {
-		if di == ct.myCluster {
-			continue
-		}
-		b.send(ct.leaders[di], out[di])
-	}
+	b.exchange(ct.leaders, ct.myCluster, in, out)
 	for di := 0; di < ct.nClusters; di++ {
 		if di == ct.myCluster {
 			continue
 		}
 		for j, mr := range members {
-			b.reduce(block(mr), in[di][j*sz:(j+1)*sz], countPerRank, dt, op)
+			b.reduce(block(mr), in[di][j*sz:(j+1)*sz], a.count, a.dt, a.op)
 		}
 	}
 	b.endRound()
@@ -504,280 +346,148 @@ func (c *Comm) compileReduceScatterRingHier(sendBuf, recvBuf []byte, countPerRan
 		b.send(mr, block(mr))
 	}
 	b.endRound()
-	return b.build(func() {
-		c.p.M.Compute(c.p.memTime(sz))
-		UnpackBuf(recvBuf, countPerRank, dt, block(c.myRank))
-	})
+	return b.build(fin)
 }
 
-// compileAlltoallHier is the two-level all-to-all closing the last
-// ROADMAP heavy collective: members ship their whole send matrix to the
-// cluster leader, leaders pairwise-exchange per-cluster bundles (one
-// message per directed leader pair, so each backbone link is crossed
-// O(clusters) times instead of the pairwise rotation's O(n)), and each
-// leader scatters the reassembled per-member receive vectors back.
+// compileAlltoallHier is the two-level all-to-all: members ship their
+// whole send matrix to the cluster leader, leaders pairwise-exchange
+// per-cluster bundles (each backbone link is crossed O(clusters) times
+// instead of the pairwise rotation's O(n)), and each leader scatters the
+// reassembled per-member receive vectors back.
 //
 // Bundle layout from cluster S to cluster D: blocks ordered by (source
 // member index in S ascending, destination member index in D ascending).
-func (c *Comm) compileAlltoallHier(sendBuf, recvBuf []byte, count int, dt Datatype) *schedule {
-	ct := c.topo()
-	n := c.Size()
-	sz := count * dt.Size()
-	ex := dt.Extent()
-	members := ct.clusters[ct.myCluster]
-	leader := ct.leaders[ct.myCluster]
-	mine := PackBuf(sendBuf, n*count, dt) // my full send matrix, dense
-	b := newSched("alltoall.h")
-
-	var myRecv []byte // my dense receive vector, source-rank order
-	if c.myRank != leader {
-		myRecv = make([]byte, n*sz)
-		b.send(leader, mine)
-		b.endRound()
-		b.recv(leader, myRecv)
-		b.endRound()
-	} else {
-		// Phase 1: gather every member's send matrix.
-		mats := make([][]byte, len(members))
-		for i, m := range members {
-			if m == c.myRank {
-				mats[i] = mine
-				continue
-			}
-			mats[i] = make([]byte, n*sz)
-			b.recv(m, mats[i])
-		}
-		b.endRound()
-		// Phase 2: stage outbound bundles, then exchange among leaders
-		// (receives pre-posted alongside the sends, as in allgather).
-		out := make([][]byte, ct.nClusters)
-		in := make([][]byte, ct.nClusters)
-		for di := 0; di < ct.nClusters; di++ {
-			if di == ct.myCluster {
-				continue
-			}
-			dm := ct.clusters[di]
-			out[di] = make([]byte, len(members)*len(dm)*sz)
-			k := 0
-			for i := range members {
-				for _, dst := range dm {
-					b.copyStep(out[di][k*sz:(k+1)*sz], mats[i][dst*sz:(dst+1)*sz])
-					k++
-				}
-			}
-		}
-		b.endRound()
-		for di := 0; di < ct.nClusters; di++ {
-			if di == ct.myCluster {
-				continue
-			}
-			in[di] = make([]byte, len(ct.clusters[di])*len(members)*sz)
-			b.recv(ct.leaders[di], in[di])
-		}
-		for di := 0; di < ct.nClusters; di++ {
-			if di == ct.myCluster {
-				continue
-			}
-			b.send(ct.leaders[di], out[di])
-		}
-		b.endRound()
-		// Phase 3: assemble each member's receive vector and scatter.
-		vec := make([][]byte, len(members))
-		for j := range members {
-			vec[j] = make([]byte, n*sz)
-			for i, src := range members {
-				b.copyStep(vec[j][src*sz:(src+1)*sz], mats[i][members[j]*sz:(members[j]+1)*sz])
-			}
-			for di := 0; di < ct.nClusters; di++ {
-				if di == ct.myCluster {
-					continue
-				}
-				for i, src := range ct.clusters[di] {
-					blk := in[di][(i*len(members)+j)*sz : (i*len(members)+j+1)*sz]
-					b.copyStep(vec[j][src*sz:(src+1)*sz], blk)
-				}
-			}
-		}
-		b.endRound()
-		for j, m := range members {
-			if m == c.myRank {
-				myRecv = vec[j]
-				continue
-			}
-			b.send(m, vec[j])
-		}
-		b.endRound()
-	}
-	return b.build(func() {
-		c.p.M.Compute(c.p.memTime(n * sz))
-		for r := 0; r < n; r++ {
-			UnpackBuf(recvBuf[r*count*ex:], count, dt, myRecv[r*sz:(r+1)*sz])
-		}
-	})
-}
-
-// compileAlltoallHierSeg is the pipelined variant of the two-level
-// all-to-all: the leader bundle exchange is cut into eager-path segments
-// (block granularity, each at most segBytes) and the staging copies are
-// interleaved with the segment injections, so assembling segment k+1
-// overlaps segment k's flight across the backbone — the ROADMAP's
-// "intra-cluster staging overlaps the backbone transfer", reusing the
-// relay-pipelining idea at the schedule level. Because the segments ride
-// the eager path they also complete locally, eliminating the per-bundle
-// rendez-vous handshakes the whole-bundle exchange pays over the slow
-// link; the inbound segments buffer in the unexpected stash while this
-// leader is still staging, and one late round collects them all.
 //
-// Callers must guarantee one block fits a segment (count*dt.Size() <=
-// segBytes), which keeps every segment at or under the eager switch
-// point — Ialltoall falls back to the whole-bundle form otherwise.
-func (c *Comm) compileAlltoallHierSeg(sendBuf, recvBuf []byte, count int, dt Datatype, segBytes int) *schedule {
+// With segBytes > 0 and a non-empty block that fits one segment, the
+// leader exchange is pipelined (alltoall.hseg): each bundle is cut into
+// eager-path segments of whole blocks, at most segBytes each, and the
+// staging copies are interleaved with the segment injections, so
+// assembling segment k+1 overlaps segment k's flight across the backbone
+// — the relay-pipelining idea at the schedule level. The segments also
+// complete locally, eliminating the per-bundle rendez-vous handshakes
+// over the slow link; the inbound segments buffer in the unexpected stash
+// while this leader is still staging, and one late round collects them
+// all. Otherwise (alltoall.h) each bundle is one segment whose receives
+// are pre-posted in its send round.
+func (c *Comm) compileAlltoallHier(a collArgs, segBytes int) *schedule {
 	ct := c.topo()
 	n := c.Size()
-	sz := count * dt.Size()
-	ex := dt.Extent()
+	sz := a.count * a.dt.Size()
 	members := ct.clusters[ct.myCluster]
 	leader := ct.leaders[ct.myCluster]
-	mine := PackBuf(sendBuf, n*count, dt)
-	b := newSched("alltoall.hseg")
+	mine := PackBuf(a.send, n*a.count, a.dt) // my full send matrix, dense
+	segmented := sz > 0 && sz <= segBytes
+	name := "alltoall.h"
+	if segmented {
+		name = "alltoall.hseg"
+	}
+	b := newSched(name)
 
-	var myRecv []byte
 	if c.myRank != leader {
-		// Members are untouched by the segmentation: whole matrix up,
-		// whole receive vector back.
-		myRecv = make([]byte, n*sz)
+		// Whole matrix up, whole receive vector (source-rank order) back.
+		myRecv := make([]byte, n*sz)
 		b.send(leader, mine)
 		b.endRound()
 		b.recv(leader, myRecv)
 		b.endRound()
-	} else {
-		bps := 1
-		if sz > 0 {
-			bps = segBytes / sz
-			if bps < 1 {
-				bps = 1
-			}
+		return b.build(c.finUnpack(true, a.recv, n*a.count, a.dt, myRecv))
+	}
+
+	// Phase 1: gather every member's send matrix.
+	mats := make([][]byte, len(members))
+	for i, m := range members {
+		if m == c.myRank {
+			mats[i] = mine
+			continue
 		}
-		// Phase 1: gather every member's send matrix.
-		mats := make([][]byte, len(members))
-		for i, m := range members {
-			if m == c.myRank {
-				mats[i] = mine
-				continue
-			}
-			mats[i] = make([]byte, n*sz)
-			b.recv(m, mats[i])
+		mats[i] = make([]byte, n*sz)
+		b.recv(m, mats[i])
+	}
+	b.endRound()
+
+	// Phase 2: stage and inject the outbound bundles bps blocks at a time,
+	// then collect the inbound ones (mirroring each sender's slicing of
+	// its own bundle; FIFO matching per source pairs them in order).
+	bps := n * n // every bundle in one segment
+	if segmented {
+		bps = segBytes / sz
+	}
+	nb := func(di int) int { return len(members) * len(ct.clusters[di]) }
+	out := make([][]byte, ct.nClusters)
+	in := make([][]byte, ct.nClusters)
+	nSeg := 0
+	for di := 0; di < ct.nClusters; di++ {
+		if di == ct.myCluster {
+			continue
 		}
-		b.endRound()
-		// Phase 2: stage and inject the outbound bundles segment by
-		// segment. Bundle to cluster D holds len(members)*len(D) blocks
-		// ordered (source member asc, destination member asc); segment s
-		// covers blocks [s*bps, (s+1)*bps).
-		out := make([][]byte, ct.nClusters)
-		nSeg := 0
+		out[di] = make([]byte, nb(di)*sz)
+		in[di] = make([]byte, nb(di)*sz)
+		nSeg = max(nSeg, (nb(di)+bps-1)/bps)
+	}
+	postRecvs := func() {
 		for di := 0; di < ct.nClusters; di++ {
 			if di == ct.myCluster {
 				continue
 			}
-			nb := len(members) * len(ct.clusters[di])
-			out[di] = make([]byte, nb*sz)
-			if s := (nb + bps - 1) / bps; s > nSeg {
-				nSeg = s
+			for lo := 0; lo < nb(di); lo += bps {
+				b.recv(ct.leaders[di], in[di][lo*sz:min(lo+bps, nb(di))*sz])
 			}
 		}
-		blockSrc := func(di, k int) []byte {
+	}
+	for s := 0; s < nSeg; s++ {
+		lo := s * bps
+		for di := 0; di < ct.nClusters; di++ {
+			if di == ct.myCluster {
+				continue
+			}
 			dm := ct.clusters[di]
-			i, j := k/len(dm), k%len(dm)
-			dst := dm[j]
-			return mats[i][dst*sz : (dst+1)*sz]
-		}
-		for s := 0; s < nSeg; s++ {
-			for di := 0; di < ct.nClusters; di++ {
-				if di == ct.myCluster {
-					continue
-				}
-				nb := len(out[di]) / sz
-				lo := s * bps
-				if lo >= nb {
-					continue
-				}
-				hi := lo + bps
-				if hi > nb {
-					hi = nb
-				}
-				for k := lo; k < hi; k++ {
-					b.copyStep(out[di][k*sz:(k+1)*sz], blockSrc(di, k))
-				}
+			for k := lo; k < min(lo+bps, nb(di)); k++ {
+				dst := dm[k%len(dm)]
+				b.copyStep(out[di][k*sz:(k+1)*sz], mats[k/len(dm)][dst*sz:(dst+1)*sz])
 			}
-			b.endRound()
-			for di := 0; di < ct.nClusters; di++ {
-				if di == ct.myCluster {
-					continue
-				}
-				nb := len(out[di]) / sz
-				lo := s * bps
-				if lo >= nb {
-					continue
-				}
-				hi := lo + bps
-				if hi > nb {
-					hi = nb
-				}
-				b.send(ct.leaders[di], out[di][lo*sz:hi*sz])
-			}
-			b.endRound()
 		}
-		// Collect every inbound segment (mirroring each sender's slicing
-		// of its own bundle; FIFO matching per source pairs them in
-		// order). Most have already landed in the unexpected stash.
-		in := make([][]byte, ct.nClusters)
+		b.endRound()
+		if !segmented {
+			postRecvs()
+		}
 		for di := 0; di < ct.nClusters; di++ {
-			if di == ct.myCluster {
-				continue
+			if di != ct.myCluster && lo < nb(di) {
+				b.send(ct.leaders[di], out[di][lo*sz:min(lo+bps, nb(di))*sz])
 			}
-			nb := len(ct.clusters[di]) * len(members)
-			in[di] = make([]byte, nb*sz)
-			for lo := 0; lo < nb; lo += bps {
-				hi := lo + bps
-				if hi > nb {
-					hi = nb
-				}
-				b.recv(ct.leaders[di], in[di][lo*sz:hi*sz])
-			}
-		}
-		b.endRound()
-		// Phase 3: assemble each member's receive vector and scatter —
-		// identical to the whole-bundle form.
-		vec := make([][]byte, len(members))
-		for j := range members {
-			vec[j] = make([]byte, n*sz)
-			for i, src := range members {
-				b.copyStep(vec[j][src*sz:(src+1)*sz], mats[i][members[j]*sz:(members[j]+1)*sz])
-			}
-			for di := 0; di < ct.nClusters; di++ {
-				if di == ct.myCluster {
-					continue
-				}
-				for i, src := range ct.clusters[di] {
-					blk := in[di][(i*len(members)+j)*sz : (i*len(members)+j+1)*sz]
-					b.copyStep(vec[j][src*sz:(src+1)*sz], blk)
-				}
-			}
-		}
-		b.endRound()
-		for j, m := range members {
-			if m == c.myRank {
-				myRecv = vec[j]
-				continue
-			}
-			b.send(m, vec[j])
 		}
 		b.endRound()
 	}
-	return b.build(func() {
-		c.p.M.Compute(c.p.memTime(n * sz))
-		for r := 0; r < n; r++ {
-			UnpackBuf(recvBuf[r*count*ex:], count, dt, myRecv[r*sz:(r+1)*sz])
+	if segmented {
+		postRecvs()
+		b.endRound()
+	}
+
+	// Phase 3: assemble each member's receive vector and scatter.
+	var myRecv []byte
+	vec := make([][]byte, len(members))
+	for j := range members {
+		vec[j] = make([]byte, n*sz)
+		for i, src := range members {
+			b.copyStep(vec[j][src*sz:(src+1)*sz], mats[i][members[j]*sz:(members[j]+1)*sz])
 		}
-	})
+		for di := 0; di < ct.nClusters; di++ {
+			if di == ct.myCluster {
+				continue
+			}
+			for i, src := range ct.clusters[di] {
+				blk := in[di][(i*len(members)+j)*sz : (i*len(members)+j+1)*sz]
+				b.copyStep(vec[j][src*sz:(src+1)*sz], blk)
+			}
+		}
+	}
+	b.endRound()
+	for j, m := range members {
+		if m == c.myRank {
+			myRecv = vec[j]
+			continue
+		}
+		b.send(m, vec[j])
+	}
+	b.endRound()
+	return b.build(c.finUnpack(true, a.recv, n*a.count, a.dt, myRecv))
 }

@@ -64,19 +64,8 @@ func (c *Comm) shardTreeRounds(b *schedBuilder, members []int, roots []int, bufs
 			continue
 		}
 		parent, children := binomialOver(members, posIn(members, roots[k]), myPos)
-		gw := ct.coLeaderGW(ct.myCluster, k)
-		if parent >= 0 {
-			b.recv(parent, buf)
-			b.tagRound(k, gw)
-			b.endRound()
-		}
-		for _, ch := range children {
-			b.send(ch, buf)
-		}
-		if len(children) > 0 {
-			b.tagRound(k, gw)
-		}
-		b.endRound()
+		b.lane(k, ct.coLeaderGW(ct.myCluster, k))
+		b.fanOut(parent, children, buf)
 	}
 }
 
@@ -175,15 +164,11 @@ func (ct *commTopo) shardChain(rootCluster, root, k int) (order, holder, egress 
 // union of all waits is acyclic; repeated (src, dst) pairs match FIFO
 // because both endpoints enumerate the cycle and the shard-ascending
 // post phases identically.
-func (c *Comm) compileBcastHierMulti(buf []byte, count int, dt Datatype, root int) *schedule {
+func (c *Comm) compileBcastHierMulti(a collArgs) *schedule {
 	ct := c.topo()
 	K := ct.maxLeaderSet()
-	var data []byte
-	if c.myRank == root {
-		data = PackBuf(buf, count, dt)
-	} else {
-		data = make([]byte, count*dt.Size())
-	}
+	root := a.root
+	data := c.bcastData(a)
 	bounds := splitBounds(len(data), K)
 	rootCluster := ct.clusterOf[root]
 	members := ct.clusters[ct.myCluster]
@@ -272,14 +257,13 @@ func (c *Comm) compileBcastHierMulti(buf []byte, count int, dt Datatype, root in
 				continue
 			}
 			chunk := chunkOf(pl, s)
+			b.lane(k, pl.gw)
 			if pl.pred >= 0 && !pl.terminal {
 				b.recv(pl.pred, chunk)
-				b.tagRound(k, pl.gw)
 				b.endRound()
 			}
 			if pl.succ >= 0 {
 				b.send(pl.succ, chunk)
-				b.tagRound(k, pl.gw)
 				b.endRound()
 			}
 		}
@@ -303,11 +287,11 @@ func (c *Comm) compileBcastHierMulti(buf []byte, count int, dt Datatype, root in
 		if pl.hi == pl.lo {
 			continue
 		}
+		b.lane(k, pl.gw)
 		if pl.terminal && pl.pred >= 0 {
 			for s := 0; s < pl.nseg; s++ {
 				b.recv(pl.pred, chunkOf(pl, s))
 			}
-			b.tagRound(k, pl.gw)
 			b.endRound()
 		}
 		if !pl.termCluster {
@@ -317,13 +301,11 @@ func (c *Comm) compileBcastHierMulti(buf []byte, count int, dt Datatype, root in
 						b.send(sk, chunkOf(pl, s))
 					}
 				}
-				b.tagRound(k, pl.gw)
 				b.endRound()
 			} else if posIn(pl.sinks, c.myRank) >= 0 {
 				for s := 0; s < pl.nseg; s++ {
 					b.recv(pl.holder, chunkOf(pl, s))
 				}
-				b.tagRound(k, pl.gw)
 				b.endRound()
 			}
 			continue
@@ -339,27 +321,10 @@ func (c *Comm) compileBcastHierMulti(buf []byte, count int, dt Datatype, root in
 		if posIn(group, c.myRank) < 0 || len(group) < 2 {
 			continue
 		}
-		shard := data[pl.lo:pl.hi]
 		parent, children := binomialOver(group, posIn(group, pl.holder), posIn(group, c.myRank))
-		if parent >= 0 {
-			b.recv(parent, shard)
-			b.tagRound(k, pl.gw)
-			b.endRound()
-		}
-		for _, ch := range children {
-			b.send(ch, shard)
-		}
-		if len(children) > 0 {
-			b.tagRound(k, pl.gw)
-		}
-		b.endRound()
+		b.fanOut(parent, children, data[pl.lo:pl.hi])
 	}
-	return b.build(func() {
-		if c.myRank != root {
-			c.p.M.Compute(c.p.memTime(len(data)))
-			UnpackBuf(buf, count, dt, data)
-		}
-	})
+	return b.build(c.finUnpack(c.myRank != root, a.recv, a.count, a.dt, data))
 }
 
 // compileAllreduceHierMulti: intra-cluster binomial reduce to the primary
@@ -369,33 +334,23 @@ func (c *Comm) compileBcastHierMulti(buf []byte, count int, dt Datatype, root in
 // shards back to every member. The backbone carries each cluster's
 // reduced vector once per direction — as the single-leader form — but
 // split across every gateway of the leader set concurrently.
-func (c *Comm) compileAllreduceHierMulti(sendBuf, recvBuf []byte, count int, dt Datatype, op Op) *schedule {
+func (c *Comm) compileAllreduceHierMulti(a collArgs) *schedule {
 	ct := c.topo()
 	K := ct.maxLeaderSet()
+	dt, op := a.dt, a.op
 	es := dt.Size()
 	members, myPos, leaderPos := c.clusterPos()
 	leader := ct.leaders[ct.myCluster]
-	acc := make([]byte, count*es)
-	eb := splitBounds(count, K)
-	shard := func(k int) []byte { return acc[eb[k]*es : eb[k+1]*es] }
-	scount := func(k int) int { return eb[k+1] - eb[k] }
+	eb := splitBounds(a.count, K)
 	mine := ct.myShards(c.myRank, K)
 	b := newSched("allreduce.hm")
-	b.copyStep(acc, PackBuf(sendBuf, count, dt))
-	b.endRound()
+	acc := b.accumulator(a.send, a.count, dt)
+	shard := func(k int) []byte { return acc[eb[k]*es : eb[k+1]*es] }
+	scount := func(k int) int { return eb[k+1] - eb[k] }
 
 	// Phase 1: intra-cluster binomial reduce to the primary leader.
 	parent, children := binomialOver(members, leaderPos, myPos)
-	for i := len(children) - 1; i >= 0; i-- {
-		part := make([]byte, len(acc))
-		b.recv(children[i], part)
-		b.reduce(acc, part, count, dt, op)
-	}
-	b.endRound()
-	if parent >= 0 {
-		b.send(parent, acc)
-		b.endRound()
-	}
+	b.fanIn(parent, children, acc, a.count, dt, op)
 
 	// Phase 2: the primary deals shard k of the cluster-reduced vector to
 	// co-leader k.
@@ -427,7 +382,7 @@ func (c *Comm) compileAllreduceHierMulti(sendBuf, recvBuf []byte, count int, dt 
 			}
 			return binomialOver(group, 0, ct.myCluster)
 		}
-		tag := func() { b.tagRound(mine[0], ct.coLeaderGW(ct.myCluster, mine[0])) }
+		b.lane(mine[0], ct.coLeaderGW(ct.myCluster, mine[0]))
 		for _, k := range mine {
 			if scount(k) == 0 {
 				continue
@@ -439,7 +394,6 @@ func (c *Comm) compileAllreduceHierMulti(sendBuf, recvBuf []byte, count int, dt 
 				b.reduce(shard(k), part, scount(k), dt, op)
 			}
 		}
-		tag()
 		b.endRound()
 		for _, k := range mine {
 			if scount(k) == 0 {
@@ -449,7 +403,6 @@ func (c *Comm) compileAllreduceHierMulti(sendBuf, recvBuf []byte, count int, dt 
 				b.send(p, shard(k))
 			}
 		}
-		tag()
 		b.endRound()
 		for _, k := range mine {
 			if scount(k) == 0 {
@@ -459,7 +412,6 @@ func (c *Comm) compileAllreduceHierMulti(sendBuf, recvBuf []byte, count int, dt 
 				b.recv(p, shard(k))
 			}
 		}
-		tag()
 		b.endRound()
 		for _, k := range mine {
 			if scount(k) == 0 {
@@ -470,7 +422,6 @@ func (c *Comm) compileAllreduceHierMulti(sendBuf, recvBuf []byte, count int, dt 
 				b.send(ch, shard(k))
 			}
 		}
-		tag()
 		b.endRound()
 	}
 
@@ -481,10 +432,7 @@ func (c *Comm) compileAllreduceHierMulti(sendBuf, recvBuf []byte, count int, dt 
 		roots[k], bufs[k] = ct.coLeader(ct.myCluster, k), shard(k)
 	}
 	c.shardTreeRounds(b, members, roots, bufs)
-	return b.build(func() {
-		c.p.M.Compute(c.p.memTime(len(acc)))
-		UnpackBuf(recvBuf, count, dt, acc)
-	})
+	return b.build(c.finUnpack(true, a.recv, a.count, dt, acc))
 }
 
 // allgatherShardLayout computes the multi-leader allgather's staging
@@ -516,17 +464,17 @@ func allgatherShardLayout(ct *commTopo, sz, K int) (bb [][]int, off [][]int, siz
 // rendez-vous bodies cannot deadlock), and per-shard intra-cluster trees
 // broadcasting each assembled shard-k staging buffer to every member.
 // Each directed gateway carries 1/K of the inter-cluster bytes.
-func (c *Comm) compileAllgatherHierMulti(sendBuf, recvBuf []byte, count int, dt Datatype) *schedule {
+func (c *Comm) compileAllgatherHierMulti(a collArgs) *schedule {
 	ct := c.topo()
 	K := ct.maxLeaderSet()
 	n := c.Size()
+	count, dt := a.count, a.dt
 	sz := count * dt.Size()
 	ex := dt.Extent()
 	members := ct.clusters[ct.myCluster]
 	leader := ct.leaders[ct.myCluster]
 	myD := ct.myCluster
 	mineKs := ct.myShards(c.myRank, K)
-	mine := PackBuf(sendBuf, count, dt)
 	bb, off, size := allgatherShardLayout(ct, sz, K)
 	// stage[k]: cluster di's bundle bytes [bb[di][k], bb[di][k+1]) at
 	// offset off[k][di] — every member ends up holding all K buffers.
@@ -539,18 +487,9 @@ func (c *Comm) compileAllgatherHierMulti(sendBuf, recvBuf []byte, count int, dt 
 	}
 	b := newSched("allgather.hm")
 
+	// Phase 1: gather the home bundle.
+	bundle := b.gatherBundle(c.myRank, leader, members, PackBuf(a.send, count, dt))
 	if c.myRank == leader {
-		// Phase 1: gather the home bundle.
-		bundle := make([]byte, len(members)*sz)
-		for i, m := range members {
-			slot := bundle[i*sz : (i+1)*sz]
-			if m == c.myRank {
-				b.copyStep(slot, mine)
-				continue
-			}
-			b.recv(m, slot)
-		}
-		b.endRound()
 		// Phase 2: deal shard k of the home bundle to co-leader k (my own
 		// shards land in my staging directly).
 		for k := 0; k < K; k++ {
@@ -565,17 +504,13 @@ func (c *Comm) compileAllgatherHierMulti(sendBuf, recvBuf []byte, count int, dt 
 			}
 		}
 		b.endRound()
-	} else {
-		b.send(leader, mine)
-		b.endRound()
-		if len(mineKs) > 0 {
-			for _, k := range mineKs {
-				if len(homeShard(k)) > 0 {
-					b.recv(leader, homeShard(k))
-				}
+	} else if len(mineKs) > 0 {
+		for _, k := range mineKs {
+			if len(homeShard(k)) > 0 {
+				b.recv(leader, homeShard(k))
 			}
-			b.endRound()
 		}
+		b.endRound()
 	}
 
 	// Phase 3: pairwise co-leader shard exchange across clusters.
@@ -601,7 +536,7 @@ func (c *Comm) compileAllgatherHierMulti(sendBuf, recvBuf []byte, count int, dt 
 				}
 			}
 		}
-		b.tagRound(mineKs[0], ct.coLeaderGW(myD, mineKs[0]))
+		b.lane(mineKs[0], ct.coLeaderGW(myD, mineKs[0]))
 		b.endRound()
 	}
 
@@ -620,7 +555,7 @@ func (c *Comm) compileAllgatherHierMulti(sendBuf, recvBuf []byte, count int, dt 
 				bun = append(bun, stage[k][off[k][di]:off[k][di+1]]...)
 			}
 			for i, m := range ct.clusters[di] {
-				UnpackBuf(recvBuf[m*count*ex:], count, dt, bun[i*sz:(i+1)*sz])
+				UnpackBuf(a.recv[m*count*ex:], count, dt, bun[i*sz:(i+1)*sz])
 			}
 		}
 	})
@@ -644,15 +579,14 @@ func (c *Comm) compileAllgatherHierMulti(sendBuf, recvBuf []byte, count int, dt 
 // (cluster, relay, source, destination) enumeration inside each round,
 // so any directed pair reused across rounds sends and matches its
 // messages in the same order (one tag, FIFO per source).
-func (c *Comm) compileAlltoallHierMulti(sendBuf, recvBuf []byte, count int, dt Datatype) *schedule {
+func (c *Comm) compileAlltoallHierMulti(a collArgs) *schedule {
 	ct := c.topo()
 	K := ct.maxLeaderSet()
 	n := c.Size()
-	sz := count * dt.Size()
-	ex := dt.Extent()
+	sz := a.count * a.dt.Size()
 	members := ct.clusters[ct.myCluster]
 	myD := ct.myCluster
-	mine := PackBuf(sendBuf, n*count, dt)
+	mine := PackBuf(a.send, n*a.count, a.dt)
 	myRecv := make([]byte, n*sz)
 	b := newSched("alltoall.hm")
 
@@ -762,7 +696,7 @@ func (c *Comm) compileAlltoallHierMulti(sendBuf, recvBuf []byte, count int, dt D
 		}
 	}
 	if myGW != "" {
-		b.tagRound(0, myGW)
+		b.lane(0, myGW)
 	}
 	b.endRound()
 
@@ -815,7 +749,7 @@ func (c *Comm) compileAlltoallHierMulti(sendBuf, recvBuf []byte, count int, dt D
 		}
 	}
 	if myGW != "" {
-		b.tagRound(0, myGW)
+		b.lane(0, myGW)
 	}
 	b.endRound()
 
@@ -852,14 +786,9 @@ func (c *Comm) compileAlltoallHierMulti(sendBuf, recvBuf []byte, count int, dt D
 		}
 	}
 	if myGW != "" {
-		b.tagRound(0, myGW)
+		b.lane(0, myGW)
 	}
 	b.endRound()
 
-	return b.build(func() {
-		c.p.M.Compute(c.p.memTime(n * sz))
-		for r := 0; r < n; r++ {
-			UnpackBuf(recvBuf[r*count*ex:], count, dt, myRecv[r*sz:(r+1)*sz])
-		}
-	})
+	return b.build(c.finUnpack(true, a.recv, n*a.count, a.dt, myRecv))
 }

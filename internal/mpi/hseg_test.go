@@ -147,3 +147,56 @@ func TestSegmentedAlltoallDatatypes(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestZeroCountCollectivesUnderEveryFamily: every collective with count 0
+// completes without error under each algorithm family installed through a
+// tune table, on a two-cluster machine and on the multi-gateway triangle
+// (leader sets of two). A 2level-seg Alltoall row once divided by the
+// empty block size on the engine thread.
+func TestZeroCountCollectivesUnderEveryFamily(t *testing.T) {
+	ops := []string{"Barrier", "Bcast", "Reduce", "Allreduce", "Gather", "Allgather", "Alltoall", "ReduceScatter"}
+	for _, family := range []string{"flat", "ring", "2level", "2level-seg", "2level-ring", "2level-multi"} {
+		var table []mpi.TuneChoice
+		for _, op := range ops {
+			table = append(table, mpi.TuneChoice{Op: op, MaxBytes: 1 << 40, Algo: family})
+		}
+		for _, m := range []struct {
+			name string
+			topo cluster.Topology
+		}{
+			{"twoCluster(2,2)", twoClusterTopo(2, 2)},
+			{"bridgedTriangle", bridgedTriangle()},
+		} {
+			sess, err := cluster.Build(m.topo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, rk := range sess.Ranks {
+				if err := rk.MPI.LoadTuneTable(table); err != nil {
+					t.Fatal(err)
+				}
+			}
+			err = sess.Run(func(rank int, comm *mpi.Comm) error {
+				calls := []func() error{
+					comm.Barrier,
+					func() error { return comm.Bcast(nil, 0, mpi.Byte, 0) },
+					func() error { return comm.Reduce(nil, nil, 0, mpi.Byte, mpi.OpSum, 0) },
+					func() error { return comm.Allreduce(nil, nil, 0, mpi.Byte, mpi.OpSum) },
+					func() error { return comm.Gather(nil, nil, 0, mpi.Byte, 0) },
+					func() error { return comm.Allgather(nil, nil, 0, mpi.Byte) },
+					func() error { return comm.Alltoall(nil, nil, 0, mpi.Byte) },
+					func() error { return comm.ReduceScatter(nil, nil, 0, mpi.Byte, mpi.OpSum) },
+				}
+				for i, call := range calls {
+					if err := call(); err != nil {
+						return fmt.Errorf("%s: %w", ops[i], err)
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				t.Errorf("%s under %s: %v", m.name, family, err)
+			}
+		}
+	}
+}

@@ -116,23 +116,74 @@ func (c *Comm) progress() {
 	eng.running = false
 }
 
-// noRoot marks the rootless collectives in startColl calls; it is not a
-// valid root value a caller could mean (checkPeer rejects every negative
-// root on the rooted operations).
-const noRoot = -1
+// collArgs is the operand set every schedule compiler takes; each
+// operation reads the fields it has. Bcast passes its one buffer as both
+// send (packed at the root) and recv (filled elsewhere); ReduceScatter's
+// count is the per-rank block.
+type collArgs struct {
+	send, recv []byte
+	count      int
+	dt         Datatype
+	op         Op
+	root       int
+}
+
+// compiler compiles one operation's schedule for the calling rank.
+type compiler func(c *Comm, a collArgs) *schedule
+
+// compilers is the dispatch table: the compiler of each (operation,
+// family) pair, nil where the operation has no such form. sanitizeAlgo
+// only ever selects a non-nil entry, and tuneCandidates times exactly
+// the entries it leaves unchanged.
+var compilers = [numCollKinds][numAlgos]compiler{
+	kindBarrier: {algoFlat: (*Comm).compileBarrierFlat, algoHier: (*Comm).compileBarrierHier},
+	kindBcast: {
+		algoFlat:          (*Comm).compileBcastFlat,
+		algoHier:          func(c *Comm, a collArgs) *schedule { return c.compileBcastHier(a, 0) },
+		algoHierSegmented: func(c *Comm, a collArgs) *schedule { return c.compileBcastHier(a, c.segmentBytes()) },
+		algoHierMulti:     (*Comm).compileBcastHierMulti,
+	},
+	kindReduce: {algoFlat: (*Comm).compileReduceFlat, algoHier: (*Comm).compileReduceHier},
+	kindAllreduce: {
+		algoFlat:      (*Comm).compileAllreduceFlat,
+		algoRing:      (*Comm).compileAllreduceRing,
+		algoHier:      (*Comm).compileAllreduceHier,
+		algoRingHier:  (*Comm).compileAllreduceRingHier,
+		algoHierMulti: (*Comm).compileAllreduceHierMulti,
+	},
+	kindGather: {algoFlat: (*Comm).compileGatherFlat, algoHier: (*Comm).compileGatherHier},
+	kindAllgather: {
+		algoFlat:      (*Comm).compileAllgatherFlat,
+		algoHier:      (*Comm).compileAllgatherHier,
+		algoHierMulti: (*Comm).compileAllgatherHierMulti,
+	},
+	kindAlltoall: {
+		algoFlat:          (*Comm).compileAlltoallFlat,
+		algoHier:          func(c *Comm, a collArgs) *schedule { return c.compileAlltoallHier(a, 0) },
+		algoHierSegmented: func(c *Comm, a collArgs) *schedule { return c.compileAlltoallHier(a, c.segmentBytes()) },
+		algoHierMulti:     (*Comm).compileAlltoallHierMulti,
+	},
+	kindReduceScatter: {algoRing: (*Comm).compileReduceScatterRing, algoRingHier: (*Comm).compileReduceScatterRingHier},
+}
+
+// compile builds this rank's schedule for an nBytes-payload operation
+// with the algorithm the tuning table selects.
+func (c *Comm) compile(kind collKind, nBytes int, a collArgs) *schedule {
+	return compilers[kind][c.chooseAlgo(kind, nBytes)](c, a)
+}
 
 // startColl is the shared Icoll entry: validity checks, then compile and
-// submit. compile runs with the communicator checks already done.
-func (c *Comm) startColl(op string, hasRoot bool, root int, compile func() *schedule) (*CollRequest, error) {
+// submit.
+func (c *Comm) startColl(op string, hasRoot bool, kind collKind, nBytes int, a collArgs) (*CollRequest, error) {
 	if err := c.checkLive(op); err != nil {
 		return nil, err
 	}
 	if hasRoot {
-		if err := c.checkPeer(op, root); err != nil {
+		if err := c.checkPeer(op, a.root); err != nil {
 			return nil, err
 		}
 	}
-	return c.submit(compile()), nil
+	return c.submit(c.compile(kind, nBytes, a)), nil
 }
 
 // checkBuf validates a user buffer against the element count before
@@ -147,12 +198,7 @@ func (c *Comm) checkBuf(op, which string, buf []byte, elems int, dt Datatype) er
 
 // Ibarrier starts a nonblocking barrier (MPI_Ibarrier).
 func (c *Comm) Ibarrier() (*CollRequest, error) {
-	return c.startColl("Ibarrier", false, noRoot, func() *schedule {
-		if c.chooseAlgo(kindBarrier, 0) != algoFlat {
-			return c.compileBarrierHier()
-		}
-		return c.compileBarrierFlat()
-	})
+	return c.startColl("Ibarrier", false, kindBarrier, 0, collArgs{})
 }
 
 // Ibcast starts a nonblocking broadcast (MPI_Ibcast). The root's buf must
@@ -161,18 +207,8 @@ func (c *Comm) Ibcast(buf []byte, count int, dt Datatype, root int) (*CollReques
 	if err := c.checkBuf("Ibcast", "data", buf, count, dt); err != nil {
 		return nil, err
 	}
-	return c.startColl("Ibcast", true, root, func() *schedule {
-		switch c.chooseAlgo(kindBcast, count*dt.Size()) {
-		case algoHier:
-			return c.compileBcastHier(buf, count, dt, root, 0)
-		case algoHierSegmented:
-			return c.compileBcastHier(buf, count, dt, root, c.segmentBytes())
-		case algoHierMulti:
-			return c.compileBcastHierMulti(buf, count, dt, root)
-		default: // algoFlat, and any choice without a bcast compiler
-			return c.compileBcastFlat(buf, count, dt, root)
-		}
-	})
+	return c.startColl("Ibcast", true, kindBcast, count*dt.Size(),
+		collArgs{send: buf, recv: buf, count: count, dt: dt, root: root})
 }
 
 // Ireduce starts a nonblocking reduction to root (MPI_Ireduce).
@@ -185,12 +221,8 @@ func (c *Comm) Ireduce(sendBuf, recvBuf []byte, count int, dt Datatype, op Op, r
 			return nil, err
 		}
 	}
-	return c.startColl("Ireduce", true, root, func() *schedule {
-		if c.chooseAlgo(kindReduce, count*dt.Size()) != algoFlat {
-			return c.compileReduceHier(sendBuf, recvBuf, count, dt, op, root)
-		}
-		return c.compileReduceFlat(sendBuf, recvBuf, count, dt, op, root)
-	})
+	return c.startColl("Ireduce", true, kindReduce, count*dt.Size(),
+		collArgs{send: sendBuf, recv: recvBuf, count: count, dt: dt, op: op, root: root})
 }
 
 // Iallreduce starts a nonblocking all-reduce (MPI_Iallreduce): a reduce
@@ -202,20 +234,8 @@ func (c *Comm) Iallreduce(sendBuf, recvBuf []byte, count int, dt Datatype, op Op
 	if err := c.checkBuf("Iallreduce", "recv", recvBuf, count, dt); err != nil {
 		return nil, err
 	}
-	return c.startColl("Iallreduce", false, noRoot, func() *schedule {
-		switch c.chooseAlgo(kindAllreduce, count*dt.Size()) {
-		case algoHier:
-			return c.compileAllreduceHier(sendBuf, recvBuf, count, dt, op)
-		case algoRing:
-			return c.compileAllreduceRing(sendBuf, recvBuf, count, dt, op)
-		case algoRingHier:
-			return c.compileAllreduceRingHier(sendBuf, recvBuf, count, dt, op)
-		case algoHierMulti:
-			return c.compileAllreduceHierMulti(sendBuf, recvBuf, count, dt, op)
-		default: // algoFlat, and segmented choices sanitizeAlgo never emits here
-			return c.compileAllreduceFlat(sendBuf, recvBuf, count, dt, op)
-		}
-	})
+	return c.startColl("Iallreduce", false, kindAllreduce, count*dt.Size(),
+		collArgs{send: sendBuf, recv: recvBuf, count: count, dt: dt, op: op})
 }
 
 // IreduceScatter starts a nonblocking reduce-scatter with equal counts
@@ -231,12 +251,8 @@ func (c *Comm) IreduceScatter(sendBuf, recvBuf []byte, countPerRank int, dt Data
 	if err := c.checkBuf("IreduceScatter", "recv", recvBuf, countPerRank, dt); err != nil {
 		return nil, err
 	}
-	return c.startColl("IreduceScatter", false, noRoot, func() *schedule {
-		if c.chooseAlgo(kindReduceScatter, c.Size()*countPerRank*dt.Size()) == algoRingHier {
-			return c.compileReduceScatterRingHier(sendBuf, recvBuf, countPerRank, dt, op)
-		}
-		return c.compileReduceScatterRing(sendBuf, recvBuf, countPerRank, dt, op)
-	})
+	return c.startColl("IreduceScatter", false, kindReduceScatter, c.Size()*countPerRank*dt.Size(),
+		collArgs{send: sendBuf, recv: recvBuf, count: countPerRank, dt: dt, op: op})
 }
 
 // Igather starts a nonblocking gather to root (MPI_Igather).
@@ -249,12 +265,8 @@ func (c *Comm) Igather(sendBuf, recvBuf []byte, count int, dt Datatype, root int
 			return nil, err
 		}
 	}
-	return c.startColl("Igather", true, root, func() *schedule {
-		if c.chooseAlgo(kindGather, count*dt.Size()) != algoFlat {
-			return c.compileGatherHier(sendBuf, recvBuf, count, dt, root)
-		}
-		return c.compileGatherFlat(sendBuf, recvBuf, count, dt, root)
-	})
+	return c.startColl("Igather", true, kindGather, count*dt.Size(),
+		collArgs{send: sendBuf, recv: recvBuf, count: count, dt: dt, root: root})
 }
 
 // Iallgather starts a nonblocking all-gather (MPI_Iallgather).
@@ -265,16 +277,8 @@ func (c *Comm) Iallgather(sendBuf, recvBuf []byte, count int, dt Datatype) (*Col
 	if err := c.checkBuf("Iallgather", "recv", recvBuf, c.Size()*count, dt); err != nil {
 		return nil, err
 	}
-	return c.startColl("Iallgather", false, noRoot, func() *schedule {
-		switch c.chooseAlgo(kindAllgather, count*dt.Size()) {
-		case algoHierMulti:
-			return c.compileAllgatherHierMulti(sendBuf, recvBuf, count, dt)
-		case algoFlat:
-			return c.compileAllgatherFlat(sendBuf, recvBuf, count, dt)
-		default: // every other hierarchical choice
-			return c.compileAllgatherHier(sendBuf, recvBuf, count, dt)
-		}
-	})
+	return c.startColl("Iallgather", false, kindAllgather, count*dt.Size(),
+		collArgs{send: sendBuf, recv: recvBuf, count: count, dt: dt})
 }
 
 // Ialltoall starts a nonblocking all-to-all (MPI_Ialltoall). On
@@ -287,21 +291,6 @@ func (c *Comm) Ialltoall(sendBuf, recvBuf []byte, count int, dt Datatype) (*Coll
 		return nil, fmt.Errorf("mpi: Ialltoall: buffers need %d bytes (send %d, recv %d)",
 			want, len(sendBuf), len(recvBuf))
 	}
-	return c.startColl("Ialltoall", false, noRoot, func() *schedule {
-		switch c.chooseAlgo(kindAlltoall, c.Size()*count*dt.Size()) {
-		case algoHierSegmented:
-			// Segmented exchange needs a block to fit one eager segment;
-			// bigger blocks use the whole-bundle rendez-vous form.
-			if seg := c.segmentBytes(); count*dt.Size() <= seg {
-				return c.compileAlltoallHierSeg(sendBuf, recvBuf, count, dt, seg)
-			}
-			return c.compileAlltoallHier(sendBuf, recvBuf, count, dt)
-		case algoHier:
-			return c.compileAlltoallHier(sendBuf, recvBuf, count, dt)
-		case algoHierMulti:
-			return c.compileAlltoallHierMulti(sendBuf, recvBuf, count, dt)
-		default: // algoFlat, and any choice without an alltoall compiler
-			return c.compileAlltoallFlat(sendBuf, recvBuf, count, dt)
-		}
-	})
+	return c.startColl("Ialltoall", false, kindAlltoall, c.Size()*count*dt.Size(),
+		collArgs{send: sendBuf, recv: recvBuf, count: count, dt: dt})
 }

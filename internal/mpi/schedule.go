@@ -19,6 +19,12 @@
 // libNBC/MPI-3 nonblocking-collectives design: new algorithms (two-level
 // Alltoall, ring Allreduce, autotuner sweeps) are new compilers producing
 // the same IR, not new execution paths.
+//
+// The compilers share the round primitives defined here: binomial trees
+// over positions (binomial) or rank lists (binomialOver), the tree
+// broadcast (fanOut) and tree reduce (fanIn), the leader bundle gather
+// (gatherBundle) and the pre-posted pairwise exchange (exchange). The
+// dispatch table mapping (operation, family) to a compiler is in nbc.go.
 package mpi
 
 import (
@@ -54,10 +60,10 @@ type step struct {
 }
 
 // round is a set of steps whose transfers may be in flight concurrently.
-// Multi-leader compilers annotate rounds with the shard lane they ride:
-// leader1 is 1 + the co-leader (shard) index — zero means untagged — and
-// gw names the gateway network that lane crosses, so trace spans show the
-// parallel gateway lanes side by side.
+// Multi-leader compilers annotate rounds with the shard lane they ride
+// (schedBuilder.lane): leader1 is 1 + the co-leader (shard) index — zero
+// means untagged — and gw names the gateway network that lane crosses, so
+// trace spans show the parallel gateway lanes side by side.
 type round struct {
 	steps   []step
 	leader1 int16
@@ -75,9 +81,12 @@ type schedule struct {
 
 // schedBuilder accumulates rounds. The zero value (via newSched) starts
 // with an open empty round; endRound closes it and opens the next.
+// leader1/gw are the lane stamped on every round sealed from now on.
 type schedBuilder struct {
-	sch *schedule
-	cur round
+	sch     *schedule
+	cur     round
+	leader1 int16
+	gw      string
 }
 
 func newSched(name string) *schedBuilder {
@@ -87,6 +96,7 @@ func newSched(name string) *schedBuilder {
 // endRound seals the open round (dropped when empty) and opens a new one.
 func (b *schedBuilder) endRound() {
 	if len(b.cur.steps) > 0 {
+		b.cur.leader1, b.cur.gw = b.leader1, b.gw
 		b.sch.rounds = append(b.sch.rounds, b.cur)
 		b.cur = round{}
 	}
@@ -108,11 +118,141 @@ func (b *schedBuilder) copyStep(dst, src []byte) {
 	b.cur.steps = append(b.cur.steps, step{kind: stepCopy, dst: dst, src: src})
 }
 
-// tagRound marks the open round with the co-leader (shard) index and the
-// gateway network its transfers ride (multi-leader trace annotation).
-func (b *schedBuilder) tagRound(leaderIdx int, gw string) {
-	b.cur.leader1 = int16(leaderIdx + 1)
-	b.cur.gw = gw
+// lane tags every round sealed from now on with the co-leader (shard)
+// index and the gateway network its transfers ride (multi-leader trace
+// annotation).
+func (b *schedBuilder) lane(leaderIdx int, gw string) {
+	b.leader1, b.gw = int16(leaderIdx+1), gw
+}
+
+// accumulator opens a reduction: a round copying this rank's packed
+// count-element contribution into a fresh accumulator, which it returns.
+func (b *schedBuilder) accumulator(send []byte, count int, dt Datatype) []byte {
+	acc := make([]byte, count*dt.Size())
+	b.copyStep(acc, PackBuf(send, count, dt))
+	b.endRound()
+	return acc
+}
+
+// binomial is the binomial tree over positions 0..n-1 rooted at rootPos:
+// myPos's parent (-1 at the root) and children, largest stride first.
+func binomial(n, rootPos, myPos int) (parent int, children []int) {
+	parent = -1
+	rel := (myPos - rootPos + n) % n
+	mask := 1
+	for mask < n {
+		if rel&mask != 0 {
+			parent = (rel - mask + rootPos) % n
+			break
+		}
+		mask <<= 1
+	}
+	for mask >>= 1; mask > 0; mask >>= 1 {
+		if rel+mask < n {
+			children = append(children, (rel+mask+rootPos)%n)
+		}
+	}
+	return parent, children
+}
+
+// binomialOver is binomial over an explicit rank list: positions index
+// members, and the parent and children come back as ranks.
+func binomialOver(members []int, rootPos, myPos int) (parent int, children []int) {
+	parent, children = binomial(len(members), rootPos, myPos)
+	if parent >= 0 {
+		parent = members[parent]
+	}
+	for i, ch := range children {
+		children[i] = members[ch]
+	}
+	return parent, children
+}
+
+// fanOut appends a tree broadcast of buf: a round receiving it from
+// parent (none at the root), then a round sending it to every child.
+func (b *schedBuilder) fanOut(parent int, children []int, buf []byte) {
+	if parent >= 0 {
+		b.recv(parent, buf)
+		b.endRound()
+	}
+	for _, ch := range children {
+		b.send(ch, buf)
+	}
+	b.endRound()
+}
+
+// fanIn appends a tree reduce into acc: one round receiving every
+// child's partial (smallest subtree first) and folding it into acc, then
+// a round forwarding acc to parent (none at the root). A nil acc is the
+// barrier fan-in: empty messages, nothing to fold.
+func (b *schedBuilder) fanIn(parent int, children []int, acc []byte, count int, dt Datatype, op Op) {
+	for i := len(children) - 1; i >= 0; i-- {
+		if acc == nil {
+			b.recv(children[i], nil)
+			continue
+		}
+		part := make([]byte, len(acc))
+		b.recv(children[i], part)
+		b.reduce(acc, part, count, dt, op)
+	}
+	b.endRound()
+	if parent >= 0 {
+		b.send(parent, acc)
+		b.endRound()
+	}
+}
+
+// gatherBundle appends the leader bundle gather: every member of members
+// but leader sends its block mine to leader in a round of its own; the
+// leader lands the blocks in member order in one round and returns the
+// bundle (nil on the other members).
+func (b *schedBuilder) gatherBundle(me, leader int, members []int, mine []byte) []byte {
+	if me != leader {
+		b.send(leader, mine)
+		b.endRound()
+		return nil
+	}
+	sz := len(mine)
+	bundle := make([]byte, len(members)*sz)
+	for i, m := range members {
+		slot := bundle[i*sz : (i+1)*sz]
+		if m == me {
+			b.copyStep(slot, mine)
+			continue
+		}
+		b.recv(m, slot)
+	}
+	b.endRound()
+	return bundle
+}
+
+// exchange appends a pairwise exchange with every peer but peers[self]:
+// receives into in[i] first, then sends of out[i], in one round, so the
+// receives are pre-posted and concurrent rendez-vous bodies cannot
+// deadlock. The round stays open for local steps consuming in.
+func (b *schedBuilder) exchange(peers []int, self int, in, out [][]byte) {
+	for i, p := range peers {
+		if i != self {
+			b.recv(p, in[i])
+		}
+	}
+	for i, p := range peers {
+		if i != self {
+			b.send(p, out[i])
+		}
+	}
+}
+
+// finUnpack is the usual completion closure: on the ranks where mine
+// holds, charge one memcpy of packed and unpack it into count elements of
+// dt in recv.
+func (c *Comm) finUnpack(mine bool, recv []byte, count int, dt Datatype, packed []byte) func() {
+	return func() {
+		if mine {
+			c.p.M.Compute(c.p.memTime(len(packed)))
+			UnpackBuf(recv, count, dt, packed)
+		}
+	}
 }
 
 // build seals the schedule with its completion closure.

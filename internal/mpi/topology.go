@@ -18,10 +18,12 @@ package mpi
 // it on every rank's Process via SetHierarchy. Communicators derive their
 // own dense view (commTopo) lazily, so Split/Dup sub-communicators get
 // hierarchy awareness for free. Selection between algorithms goes through
-// a small tuning table (message size × topology shape → algorithm),
-// mirroring MPICH's coll_tuned framework; the flat algorithms remain both
-// the single-cluster fast path and the cross-check reference for the
-// equivalence property tests.
+// a small tuning table (message size × topology shape → algorithm
+// family), mirroring MPICH's coll_tuned framework; sanitizeAlgo then
+// degrades the family until the dispatch table in nbc.go holds a
+// compiler for it. The flat algorithms remain both the single-cluster
+// fast path and the cross-check reference for the equivalence property
+// tests.
 
 // Link describes one network class of the hierarchy in plain numbers
 // (derived from the netsim cost model by the cluster session), enough for
@@ -279,13 +281,17 @@ func (c *Comm) topo() *commTopo {
 // collAlgo is one row outcome of the tuning table.
 type collAlgo int
 
+// The flat families come first, then the two-level ones; the order is
+// the autotuner's candidate order (tie-breaks go to the earlier family).
+// Persisted tables store names, not these values.
 const (
-	algoFlat collAlgo = iota
-	algoHier
-	algoHierSegmented // two-level with pipelined segments (Bcast only)
-	algoRing          // flat bandwidth-optimal ring (Allreduce, ReduceScatter)
-	algoRingHier      // two-level: intra-cluster rings around the leader exchange
-	algoHierMulti     // two-level with the leader phase sharded across the leader set
+	algoFlat          collAlgo = iota
+	algoRing                   // flat bandwidth-optimal ring (Allreduce, ReduceScatter)
+	algoHier                   // two-level tree
+	algoHierSegmented          // two-level with pipelined segments (Bcast, Alltoall)
+	algoRingHier               // two-level: intra-cluster rings around the leader exchange
+	algoHierMulti              // two-level with the leader phase sharded across the leader set
+	numAlgos
 )
 
 // algoNames maps tuning-table rows to stable names for snapshots/reports.
@@ -364,61 +370,41 @@ func (c *Comm) cappedBackbone() bool {
 	return c.p.hier != nil && c.p.hier.Inter.SharedMBs > 0
 }
 
-// ringKind reports whether an operation has a ring compiler.
-func ringKind(kind collKind) bool {
-	return kind == kindAllreduce || kind == kindReduceScatter
+// algoFallback is the chain sanitizeAlgo walks until the operation has a
+// compiler: the specialised two-level forms fall to the two-level tree,
+// which falls to the two-level ring (ReduceScatter's only two-level
+// form); the flat tree and the flat ring fall to each other.
+var algoFallback = [numAlgos]collAlgo{
+	algoFlat:          algoRing,
+	algoRing:          algoFlat,
+	algoHier:          algoRingHier,
+	algoHierSegmented: algoHier,
+	algoRingHier:      algoHier,
+	algoHierMulti:     algoHier,
 }
 
 // sanitizeAlgo degrades an algorithm choice to one this communicator and
-// operation can actually run: hier families need a multi-cluster shape,
-// ring families need a ring compiler, segmentation is Bcast-only. Keeps
-// forced modes and stale tuning tables safe on any communicator (e.g. a
-// Split sub-communicator confined to one island).
+// operation can actually run: on a single-cluster communicator the
+// two-level families drop to their flat form, multi-leader needs a
+// leader set with two members, and the result then follows algoFallback
+// until the dispatch table holds a compiler. Keeps forced modes and stale
+// tuning tables safe on any communicator (e.g. a Split sub-communicator
+// confined to one island).
 func (c *Comm) sanitizeAlgo(kind collKind, a collAlgo) collAlgo {
 	ct := c.topo()
 	multi := ct != nil && ct.nClusters >= 2
-	if a == algoHierSegmented && kind != kindBcast && kind != kindAlltoall {
+	switch {
+	case !multi && a == algoRingHier:
+		a = algoRing
+	case !multi && a >= algoHier:
+		a = algoFlat
+	case a == algoHierMulti && ct.maxLeaderSet() < 2:
+		// Every cluster behind one gateway: the sharded form is the
+		// two-level tree with extra staging.
 		a = algoHier
 	}
-	// Multi-leader needs an operation with a sharded compiler AND a
-	// communicator where at least one cluster actually has several
-	// gateways to spread across; otherwise it is exactly the two-level
-	// tree with extra staging, so degrade to algoHier.
-	if a == algoHierMulti {
-		ok := kind == kindBcast || kind == kindAllreduce ||
-			kind == kindAllgather || kind == kindAlltoall
-		if !ok || !multi || ct.maxLeaderSet() < 2 {
-			a = algoHier
-		}
-	}
-	if a == algoRingHier {
-		switch {
-		case !ringKind(kind) && multi:
-			a = algoHier
-		case !ringKind(kind):
-			a = algoFlat
-		case !multi:
-			a = algoRing
-		}
-	}
-	if a == algoRing && !ringKind(kind) {
-		a = algoFlat
-	}
-	if (a == algoHier || a == algoHierSegmented) && !multi {
-		a = algoFlat
-	}
-	// ReduceScatter only has ring compilers: tree-family choices map to
-	// the ring of the same level, so CollHier still gets the
-	// hierarchy-aware form and CollFlat the topology-blind one.
-	if kind == kindReduceScatter {
-		switch a {
-		case algoHier, algoHierSegmented, algoHierMulti:
-			a = algoRingHier
-		case algoFlat:
-			a = algoRing
-		case algoRing, algoRingHier:
-			// Already a ring form: runnable as is.
-		}
+	for compilers[kind][a] == nil {
+		a = algoFallback[a]
 	}
 	return a
 }
@@ -472,9 +458,10 @@ func (c *Comm) chooseAlgo(kind collKind, nBytes int) collAlgo {
 func (c *Comm) analyticAlgo(kind collKind, nBytes int) collAlgo {
 	ct := c.topo()
 	if ct == nil || ct.nClusters < 2 {
-		if ringKind(kind) && nBytes >= 64<<10 {
+		if nBytes >= 64<<10 {
 			// Large vectors: the ring's 2(n−1)/n bandwidth factor beats
-			// the tree's 2·log(n) even on a uniform fast fabric.
+			// the tree's 2·log(n) even on a uniform fast fabric
+			// (operations without a ring form fall back to the tree).
 			return algoRing
 		}
 		return algoFlat // single cluster: the flat tree already runs on the fast fabric

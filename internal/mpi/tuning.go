@@ -240,9 +240,10 @@ type TuneChoice struct {
 	// the open last bracket. For a "SwitchPoint" row it is the measured
 	// eager->rendez-vous threshold of the class.
 	MaxBytes int
-	// Algo names the selected algorithm: "flat", "2level", "2level-seg",
-	// "ring", "2level-ring". For a "SwitchPoint" row it names the device
-	// class ("smp", "san", "wan").
+	// Algo names the selected algorithm: "flat", "ring", "2level",
+	// "2level-seg", "2level-ring", "2level-multi". For a "SwitchPoint" row
+	// it names the device class ("smp", "san", "wan"); for a
+	// "RelayWindow" row, the spanning network.
 	Algo string
 }
 
@@ -380,54 +381,22 @@ func (p *Process) Autotune() error {
 }
 
 // tuneCandidates lists the algorithms worth timing for an operation on
-// this communicator's shape; fewer than two means there is no choice to
-// measure.
+// this communicator's shape: every family with a compiler that
+// sanitizeAlgo keeps as is, in family order. Fewer than two means there
+// is no choice to measure.
 func (c *Comm) tuneCandidates(kind collKind) []collAlgo {
-	ct := c.topo()
-	multi := ct != nil && ct.nClusters >= 2
-	// Multi-leader candidates exist only where a leader set actually has a
-	// second gateway to aggregate; on single-gateway topologies the probe
-	// sequence (and therefore any cached table) is unchanged.
-	multiGW := multi && ct.maxLeaderSet() > 1
-	switch kind {
-	case kindBcast:
-		if multiGW {
-			return []collAlgo{algoFlat, algoHier, algoHierSegmented, algoHierMulti}
-		}
-		if multi {
-			return []collAlgo{algoFlat, algoHier, algoHierSegmented}
-		}
-	case kindAllreduce:
-		if multiGW {
-			return []collAlgo{algoFlat, algoRing, algoHier, algoRingHier, algoHierMulti}
-		}
-		if multi {
-			return []collAlgo{algoFlat, algoRing, algoHier, algoRingHier}
-		}
-		return []collAlgo{algoFlat, algoRing}
-	case kindAllgather:
-		if multiGW {
-			return []collAlgo{algoFlat, algoHier, algoHierMulti}
-		}
-		if multi {
-			return []collAlgo{algoFlat, algoHier}
-		}
-	case kindAlltoall:
-		if multiGW {
-			return []collAlgo{algoFlat, algoHier, algoHierSegmented, algoHierMulti}
-		}
-		if multi {
-			return []collAlgo{algoFlat, algoHier, algoHierSegmented}
-		}
-	case kindReduceScatter:
-		if multi {
-			return []collAlgo{algoRing, algoRingHier}
-		}
-	default:
-		// Barrier, Gather, Reduce: the analytic choice is not worth
-		// second-guessing with timed probes.
+	if kind == kindBarrier || kind == kindGather || kind == kindReduce {
+		// The analytic choice is not worth second-guessing with timed
+		// probes.
+		return nil
 	}
-	return nil
+	var cands []collAlgo
+	for a := collAlgo(0); a < numAlgos; a++ {
+		if compilers[kind][a] != nil && c.sanitizeAlgo(kind, a) == a {
+			cands = append(cands, a)
+		}
+	}
+	return cands
 }
 
 // runTuneOp executes one probe collective of ~nBytes total payload with

@@ -5,14 +5,19 @@ package mpi_test
 // table that chooseAlgo consults.
 
 import (
+	"flag"
 	"fmt"
+	"os"
 	"reflect"
+	"strings"
 	"testing"
 
 	"mpichmad/internal/cluster"
 	"mpichmad/internal/mpi"
 	"mpichmad/internal/netsim"
 )
+
+var updateTune = flag.Bool("update-tune", false, "rewrite testdata/tune.golden")
 
 // autotunedTables builds a topology with Autotune on, runs an empty rank
 // program, and returns every rank's crossover-table snapshot.
@@ -240,5 +245,64 @@ func TestAutotunedCollectivesStayCorrect(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// bridgedTriangle is the multi-gateway machine of the multileader
+// experiment: three islands, each bridged to both others by its own
+// gateway pair (a2-b1, b2-c1, a1-c0), so every leader set has two
+// members.
+func bridgedTriangle() cluster.Topology {
+	return cluster.Topology{
+		Nodes: []cluster.NodeSpec{
+			{Name: "a0", Procs: 1}, {Name: "a1", Procs: 1}, {Name: "a2", Procs: 1},
+			{Name: "b0", Procs: 1}, {Name: "b1", Procs: 1}, {Name: "b2", Procs: 1},
+			{Name: "c0", Procs: 1}, {Name: "c1", Procs: 1}, {Name: "c2", Procs: 1},
+		},
+		Networks: []cluster.NetworkSpec{
+			{Name: "sciA", Protocol: "sisci", Nodes: []string{"a0", "a1", "a2"}},
+			{Name: "sciB", Protocol: "sisci", Nodes: []string{"b0", "b1", "b2"}},
+			{Name: "myriC", Protocol: "bip", Nodes: []string{"c0", "c1", "c2"}},
+			{Name: "gwAB", Protocol: "tcp", Nodes: []string{"a2", "b1"}},
+			{Name: "gwBC", Protocol: "tcp", Nodes: []string{"b2", "c1"}},
+			{Name: "gwCA", Protocol: "tcp", Nodes: []string{"a1", "c0"}},
+		},
+		Forwarding: true,
+	}
+}
+
+// TestAutotuneTableGolden pins the measured crossover tables of three
+// machines — a private backbone, a capped trunk and the multi-gateway
+// triangle — row for row. The sweep is deterministic, so any change to a
+// candidate list, its order or a probed schedule shows up here directly.
+// Regenerate with -update-tune only for an intended selection change.
+func TestAutotuneTableGolden(t *testing.T) {
+	const golden = "testdata/tune.golden"
+	var got []string
+	for _, m := range []struct {
+		name string
+		topo cluster.Topology
+	}{
+		{"twoCluster(3,3)", twoClusterTopo(3, 3)},
+		{"cappedTwoCluster(4,4)", cappedTwoCluster(4, 4)},
+		{"bridgedTriangle", bridgedTriangle()},
+	} {
+		for _, tc := range autotunedTables(t, m.topo)[0] {
+			got = append(got, fmt.Sprintf("%s %s %d %s", m.name, tc.Op, tc.MaxBytes, tc.Algo))
+		}
+	}
+	if *updateTune {
+		if err := os.WriteFile(golden, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	raw, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("autotuned tables changed:\ngot\n%s\nwant\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }
