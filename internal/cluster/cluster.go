@@ -177,9 +177,10 @@ type Session struct {
 	Networks map[string]*netsim.Network
 
 	// Tracer is the session's event tracer (nil: tracing off); Metrics
-	// is the always-on counter registry every device and network feeds
-	// (gateway relay load, trunk contention) — it is what RelayStats
-	// reads, so it exists even when tracing is off.
+	// is the always-on counter registry for the counts no device or
+	// network field holds: eager and rendez-vous messages per device
+	// class, and trunk wait per node (RelayStats' trunk-wait column). It
+	// exists even when tracing is off.
 	Tracer  *trace.Tracer
 	Metrics *trace.Registry
 
@@ -348,7 +349,6 @@ func (sess *Session) buildChMad(places []placementInfo, nodeNets map[string][]st
 		eng := adi.NewEngine(proc, r)
 		dev := core.New(proc, eng, r)
 		dev.Metrics = sess.Metrics
-		dev.MetricsLabel = fmt.Sprintf("rank%d(%s)", r, pl.node)
 		if sess.Tracer != nil {
 			dev.Trace = sess.Tracer
 			dev.TraceTrack = r
@@ -413,15 +413,18 @@ func (sess *Session) buildChMad(places []placementInfo, nodeNets map[string][]st
 
 	// Start the devices first (this elects each ch_mad device-wide
 	// fallback threshold), then discover the cluster hierarchy. Uniform
-	// single-threshold sessions cap every backbone pipeline segment at
-	// the globally elected minimum — the historical behaviour; the
-	// per-link mux leaves segCap zero and routedInter instead clamps each
-	// backbone segment by the switch points along its actual path.
+	// single-threshold sessions force the elected value onto every link
+	// and cap every backbone pipeline segment at the globally elected
+	// minimum — the historical behaviour; the per-link mux leaves segCap
+	// zero and routedInter instead clamps each backbone segment by the
+	// switch points along its actual path.
 	minSwitch := 0
 	for r := 0; r < size; r++ {
 		dev := wirings[r].rank.ChMad
 		dev.RelayWindow = window
-		dev.PerLinkSwitch = !uniform
+		if uniform {
+			dev.SetSwitchPoint(dev.ElectSwitchPoint())
+		}
 		dev.Start()
 		if sp := dev.SwitchPoint(); minSwitch == 0 || sp < minSwitch {
 			minSwitch = sp
@@ -457,9 +460,9 @@ func (sess *Session) buildChMad(places []placementInfo, nodeNets map[string][]st
 			w.rank.MPI.SetTrace(sess.Tracer, r)
 		}
 		w.rank.MPI.SetHierarchy(hier)
-		// The class resolver binds the build-time plan on purpose: the
-		// eager table it replaces was captured here and never refreshed by
-		// Replan, and the per-process memo pins those frozen semantics.
+		// The class resolver binds the build-time plan on purpose: a
+		// link's class is frozen at build and never refreshed by Replan,
+		// and the per-process memo pins those semantics.
 		w.rank.MPI.SetLinkClassResolver(func(dst int) string {
 			return sess.linkClassIn(plan, rr, dst)
 		})
@@ -810,8 +813,14 @@ func (sess *Session) buildChP4(places []placementInfo) error {
 func (sess *Session) Run(main func(rank int, comm *mpi.Comm) error) error {
 	sess.rankErr = make([]error, len(sess.Ranks))
 	// Autotuner persistence: a cached crossover table for this topology
-	// shape replaces the init sweep (the sweep is deterministic in the
-	// topology, so the cached measurement is exact, not approximate).
+	// shape replaces the init sweep. The sweep is deterministic in the
+	// topology, so the cached table is the one a sweep would measure. The
+	// sessions are not identical, though: the sweep leaves device or
+	// fabric state behind that a cache load does not, and autotuned
+	// Alltoall moves by up to 3.5% between the two (ML_Alltoall_* in the
+	// multileader experiment). Until that leak is found, later timings of
+	// a cached and a swept session may differ; see ROADMAP.md item 4,
+	// "Results must not depend on how state was reached".
 	var tuneKey string
 	var cachedTune []mpi.TuneChoice
 	if sess.Topo.Autotune && sess.Topo.TuneCache != nil {

@@ -95,8 +95,8 @@ func randomLazyTopo(rng *rand.Rand) Topology {
 	return topo
 }
 
-// eagerRails materializes what the historical eager installRoutes would
-// have handed SetRails for one pair: nil for self and smp-plugged pairs,
+// eagerRails materializes the rail set the historical eager route
+// installation gave one pair: nil for self and smp-plugged pairs,
 // railsFor otherwise.
 func eagerRails(sess *Session, r, dst int) []core.Route {
 	if dst == r || dst < 0 || dst >= len(sess.places) {
@@ -137,7 +137,7 @@ func checkLazyEqualsEager(t *testing.T, sess *Session) {
 			want := eagerRails(sess, r, dst)
 			got := dev.Rails(dst)
 			if len(want) == 0 && len(got) == 0 {
-				// eager SetRails(dst, nil) and a lazy miss both leave the
+				// An eager empty rail set and a lazy miss both leave the
 				// pair unroutable; the representations (nil vs empty) agree.
 			} else if !reflect.DeepEqual(got, want) {
 				t.Fatalf("rails(%d->%d): lazy %+v, eager %+v", r, dst, got, want)

@@ -68,21 +68,20 @@ type Device struct {
 	rank int
 
 	channels []*madeleine.Channel
-	routes   map[int]Route
-	// rails, when a destination has them, is the full ordered set of
-	// edge-disjoint routes toward it (rails[dst][0] == routes[dst]); the
-	// striper spreads large multi-hop rendez-vous bodies across them and
-	// relaying gateways keep stripes on the rail the header's PathID
-	// names. Destinations without an entry have the single primary route.
-	rails map[int][]Route
 
-	// railSource, when set, resolves a destination's rails on first use
-	// (SetRailSource): routes/rails then act as the cache of resolved
-	// destinations, so a 1000-rank session never installs the quadratic
-	// all-pairs route table — only the pairs that actually talk. A
-	// destination the source resolves to nothing is remembered in railMiss
-	// so unroutable sends stay O(1) too.
+	// railSource resolves a destination's rails on first use
+	// (SetRailSource); routes and rails cache the resolved destinations,
+	// so a 1000-rank session never builds the quadratic all-pairs route
+	// table — only the pairs that actually talk. routes[dst] is the
+	// primary route; rails[dst], kept only when there is more than one,
+	// is the full ordered set of edge-disjoint routes (rails[dst][0] ==
+	// routes[dst]) the striper spreads large rendez-vous bodies across
+	// and relaying gateways pick a stripe's PathID rail from. A
+	// destination the source resolves to nothing is remembered in
+	// railMiss so unroutable sends stay O(1) too.
 	railSource func(dst int) []Route
+	routes     map[int]Route
+	rails      map[int][]Route
 	railMiss   map[int]bool
 
 	// switchPoint is the device-wide eager->rendez-vous threshold elected
@@ -90,18 +89,15 @@ type Device struct {
 	// structure historically allowed (§4.2.2). With the per-link device
 	// mux it is only the fallback: Send resolves the threshold per
 	// destination (SwitchPointTo) from the route's SwitchBytes and any
-	// measured per-class override, unless PerLinkSwitch is off or
-	// SetSwitchPoint forced a uniform value.
+	// measured per-class override, unless SetSwitchPoint forced a uniform
+	// value.
 	switchPoint int
 
-	// forcedSwitch records that SetSwitchPoint explicitly overrode the
-	// threshold (ablation X1): the forced value then governs every link.
+	// forcedSwitch records that SetSwitchPoint overrode the threshold:
+	// the forced value then governs every link, like the historical
+	// single-threshold MPID_Device (ablation X1 and the uniform ch_mad-only
+	// session).
 	forcedSwitch bool
-
-	// PerLinkSwitch enables per-destination threshold resolution (on by
-	// default). Off, the device behaves like the historical
-	// single-threshold MPID_Device — the uniform ch_mad-only ablation.
-	PerLinkSwitch bool
 
 	// classSwitch holds measured per-device-class threshold overrides
 	// installed by the autotuner (adi.ClassTuner); they take precedence
@@ -114,16 +110,18 @@ type Device struct {
 	// and all. Only used by the X2 ablation benchmark.
 	MonolithicEager bool
 
-	// RelayPipelining enables the segmented multi-hop rendez-vous path
-	// (on by default). Off, large bodies cross each gateway whole —
+	// RelayPipelining enables the segmented rendez-vous path (on by
+	// default): large bodies toward a multi-hop or striped destination
+	// travel as PktRndvSeg segments. Off, they cross each gateway whole —
 	// the original store-and-forward §6 behaviour (ablation/benchmarks).
 	RelayPipelining bool
 
-	// RelayStriping enables striping large multi-hop rendez-vous bodies
-	// across a destination's edge-disjoint rails (on by default; only
-	// takes effect when the routing layer installed more than one rail).
-	// Segments are dealt cost-weighted round-robin, tagged with the rail
-	// index (header PathID), and reassembled by offset at the receiver.
+	// RelayStriping lets the segmented path deal segments across a
+	// destination's edge-disjoint rails (on by default; only takes effect
+	// when the rail source resolved more than one rail). Segments are
+	// dealt cost-weighted round-robin, tagged with the rail index (header
+	// PathID), and reassembled by offset at the receiver. Off, segments
+	// stay on the primary route.
 	RelayStriping bool
 
 	// RelayWindow bounds this device's store-and-forward queue: at most
@@ -145,15 +143,14 @@ type Device struct {
 
 	// Trace, when set, records the packet lifecycle (eager send/recv,
 	// RNDV request->ack->body, relay hops, credit waits) on TraceTrack
-	// (the owning rank's track). Metrics aggregates counters per device
-	// class and — under MetricsLabel, the gateway's display name cached
-	// once at wiring time so hot paths never format strings — per
-	// gateway. Both are nil-safe: a nil Trace/Metrics costs one branch
-	// per site. Set by the cluster wiring before Start.
-	Trace        *trace.Tracer
-	TraceTrack   int
-	Metrics      *trace.Registry
-	MetricsLabel string
+	// (the owning rank's track). Metrics counts eager and rendez-vous
+	// messages per device class, which no field below holds; relay
+	// totals live only in the fields. Both are nil-safe: a nil
+	// Trace/Metrics costs one branch per site. Set by the cluster wiring
+	// before Start.
+	Trace      *trace.Tracer
+	TraceTrack int
+	Metrics    *trace.Registry
 
 	nextReq  uint32
 	nextSync uint32
@@ -163,7 +160,8 @@ type Device struct {
 
 	stopped bool
 
-	// Counters for tests and experiment reports.
+	// Counters for tests and experiment reports: the one store of these
+	// totals (RelayStats and the perfbench benchmark read them directly).
 	NEager, NRndv, NForwarded uint64
 	// RelayBytes counts body bytes this device relayed for other ranks.
 	// NRelayDrops counts relayed messages dropped, broken out by reason:
@@ -236,8 +234,9 @@ func (st *rndvState) segDone(n int) bool {
 }
 
 // New creates a ch_mad device for one process. Channels are added with
-// AddChannel and destinations with AddRoute; call Start once wiring is
-// complete to launch the per-channel polling threads (§4.2.3).
+// AddChannel and destinations resolved through SetRailSource; call Start
+// once wiring is complete to launch the per-channel polling threads
+// (§4.2.3).
 func New(p *marcel.Proc, eng *adi.Engine, rank int) *Device {
 	return &Device{
 		proc:            p,
@@ -245,9 +244,6 @@ func New(p *marcel.Proc, eng *adi.Engine, rank int) *Device {
 		rank:            rank,
 		RelayPipelining: true,
 		RelayStriping:   true,
-		PerLinkSwitch:   true,
-		routes:          make(map[int]Route),
-		rails:           make(map[int][]Route),
 		pending:         make(map[uint32]*adi.SendReq),
 		retries:         make(map[uint32]int),
 		rndvRx:          make(map[uint32]*rndvState),
@@ -265,19 +261,11 @@ func (d *Device) AddChannel(ch *madeleine.Channel) {
 	d.channels = append(d.channels, ch)
 }
 
-// AddRoute maps a destination world rank to a channel and next-hop node
-// (the single primary route; any previously installed rails are replaced).
-func (d *Device) AddRoute(rank int, r Route) {
-	d.routes[rank] = r
-	delete(d.rails, rank)
-	delete(d.railMiss, rank)
-}
-
-// SetRailSource installs a lazy rail resolver and drops every cached
-// route: subsequent lookups resolve destinations on first use through fn
-// and cache the result. Called by the cluster wiring at build time and
-// again on every re-plan (the reinstall-everything of the eager scheme
-// becomes an O(1) cache flush).
+// SetRailSource installs the device's route source and drops every
+// cached route: lookups resolve a destination on first use through fn —
+// its edge-disjoint rails, primary first; none when unroutable — and
+// cache the result. Called by the cluster wiring at build time and again
+// on every re-plan, where it is an O(1) cache flush.
 func (d *Device) SetRailSource(fn func(dst int) []Route) {
 	d.railSource = fn
 	d.routes = make(map[int]Route)
@@ -287,8 +275,8 @@ func (d *Device) SetRailSource(fn func(dst int) []Route) {
 
 // ensureRoute resolves dst through the rail source if it is not cached
 // yet. Resolution is pure computation (no virtual-time events), so it is
-// safe from polling threads and cannot perturb schedule determinism —
-// lazily resolved sessions replay eager sessions exactly.
+// safe from polling threads and cannot perturb schedule determinism: a
+// session's timings do not depend on which pairs resolved first.
 func (d *Device) ensureRoute(dst int) {
 	if d.railSource == nil || d.railMiss[dst] {
 		return
@@ -307,27 +295,7 @@ func (d *Device) ensureRoute(dst int) {
 	}
 }
 
-// SetRails installs the full ordered set of edge-disjoint routes toward a
-// destination: rs[0] becomes the primary route (what Send and control
-// traffic use), the rest are the extra rails the striper spreads large
-// rendez-vous bodies over. Called by the cluster wiring and by adaptive
-// re-plans; an empty rs removes the destination entirely.
-func (d *Device) SetRails(rank int, rs []Route) {
-	delete(d.railMiss, rank)
-	if len(rs) == 0 {
-		delete(d.routes, rank)
-		delete(d.rails, rank)
-		return
-	}
-	d.routes[rank] = rs[0]
-	if len(rs) == 1 {
-		delete(d.rails, rank)
-		return
-	}
-	d.rails[rank] = append([]Route(nil), rs...)
-}
-
-// Rails returns every installed route toward a destination, primary
+// Rails returns every resolved route toward a destination, primary
 // first; nil when the destination is unroutable.
 func (d *Device) Rails(rank int) []Route {
 	d.ensureRoute(rank)
@@ -401,12 +369,11 @@ func (d *Device) SwitchPoint() int { return d.switchPoint }
 
 // SwitchPointTo implements adi.LinkTuner: the eager->rendez-vous
 // threshold for the link toward dst. Resolution order: a forced uniform
-// value (SetSwitchPoint / PerLinkSwitch off), then a measured per-class
-// override for the route's device class, then the route's native
-// SwitchBytes (smallest switch point along its path), then the elected
-// device-wide fallback.
+// value (SetSwitchPoint), then a measured per-class override for the
+// route's device class, then the route's native SwitchBytes (smallest
+// switch point along its path), then the elected device-wide fallback.
 func (d *Device) SwitchPointTo(dst int) int {
-	if d.forcedSwitch || !d.PerLinkSwitch {
+	if d.forcedSwitch {
 		return d.switchPoint
 	}
 	rt, ok := d.RouteTo(dst)
@@ -444,8 +411,9 @@ func (d *Device) SetClassSwitchPoint(class string, bytes int) {
 // tuned backbones keeps the largest window offered — throttling the fat
 // pipe to the thin one's product would only idle the fat pipe. After
 // Start the semaphore is rebuilt at the new capacity, but only while the
-// relay queue is idle (credits all home); mid-traffic hints keep the old
-// window rather than strand or mint credits.
+// relay queue is idle (credits all home); a mid-traffic hint is ignored
+// whole — window, semaphore and hinted mark alike — rather than strand or
+// mint credits.
 func (d *Device) SetRelayWindowHint(net string, window int) {
 	if window <= 0 || window == d.RelayWindow {
 		return
@@ -463,14 +431,14 @@ func (d *Device) SetRelayWindowHint(net string, window int) {
 	if d.relayWindowHinted && window < d.RelayWindow {
 		return
 	}
-	d.relayWindowHinted = true
-	d.RelayWindow = window
 	if d.relayCredits != nil {
 		if d.relayInFlight > 0 || d.relayParking > 0 {
 			return
 		}
 		d.relayCredits = vtime.NewSem(d.proc.S, fmt.Sprintf("ch_mad[%d].relay", d.rank), window)
 	}
+	d.relayWindowHinted = true
+	d.RelayWindow = window
 }
 
 // ClassSwitchPoints returns the installed per-class threshold overrides
@@ -565,7 +533,6 @@ func (d *Device) Send(sr *adi.SendReq) {
 func (d *Device) sendEager(sr *adi.SendReq, rt Route) {
 	d.NEager++
 	d.Metrics.Add("eager.msgs", rt.Class, 1)
-	d.Metrics.Add("eager.bytes", rt.Class, int64(len(sr.Data)))
 	var t0 vtime.Time
 	if d.Trace != nil {
 		t0 = d.proc.S.Now()
@@ -622,7 +589,6 @@ func (d *Device) sendEager(sr *adi.SendReq, rt Route) {
 func (d *Device) sendRndvRequest(sr *adi.SendReq, rt Route) {
 	d.NRndv++
 	d.Metrics.Add("rndv.msgs", rt.Class, 1)
-	d.Metrics.Add("rndv.bytes", rt.Class, int64(sr.Env.Len))
 	d.nextReq++
 	id := d.nextReq
 	if d.Trace != nil {
@@ -632,6 +598,12 @@ func (d *Device) sendRndvRequest(sr *adi.SendReq, rt Route) {
 		})
 	}
 	d.pending[id] = sr
+	d.sendRequest(id, sr, rt)
+}
+
+// sendRequest emits the MAD_REQUEST_PKT of pending send id over rt — the
+// first attempt and every busy-nack retry alike.
+func (d *Device) sendRequest(id uint32, sr *adi.SendReq, rt Route) {
 	h := header{
 		Type:    PktRequest,
 		SrcRank: sr.Env.Src,
@@ -642,10 +614,17 @@ func (d *Device) sendRndvRequest(sr *adi.SendReq, rt Route) {
 		ReqID:   id,
 	}
 	if err := d.sendHeaderOnly(rt, h); err != nil {
-		delete(d.pending, id)
-		sr.Err = err
-		sr.Done.Fire()
+		d.failSend(id, sr, err)
 	}
+}
+
+// failSend completes pending rendez-vous send id with err, dropping its
+// bookkeeping.
+func (d *Device) failSend(id uint32, sr *adi.SendReq, err error) {
+	delete(d.pending, id)
+	delete(d.retries, id)
+	sr.Err = err
+	sr.Done.Fire()
 }
 
 // sendHeaderOnly ships a body-less control message (REQUEST/SENDOK/TERM):
@@ -836,36 +815,32 @@ func (d *Device) inSendOK(ch *madeleine.Channel, conn *madeleine.Connection, h h
 		})
 	}
 	rt, _ := d.RouteTo(sr.Dst)
+	// The rails a segmented body may travel. Striping is gated on the
+	// rail set, not on the hop count alone: a direct *backbone* pair with
+	// edge-disjoint alternates (co-leader bundle exchanges over parallel
+	// bridges) stripes exactly like the multi-hop p2p path, instead of
+	// funneling the whole body down the primary rail — its threshold comes
+	// from the rails' own stripe segments, because a direct primary has no
+	// relay segment. Direct SAN/SMP pairs do NOT stripe even with
+	// alternates: their "alternate" is a detour over the same shared
+	// intra-cluster medium, so dealing segments onto it only adds relay
+	// hops. Otherwise a multi-hop route pipelines over its primary rail
+	// alone, and a direct pair keeps the whole-body rendez-vous.
+	var rails []Route
 	if d.RelayPipelining {
-		// Striping is gated on the rail set, not on the hop count alone:
-		// a direct *backbone* pair with edge-disjoint alternates
-		// (co-leader bundle exchanges over parallel bridges) stripes
-		// exactly like the multi-hop p2p path, instead of funneling the
-		// whole body down the primary rail — its threshold comes from the
-		// rails' own stripe segments, because a direct primary has no
-		// relay segment. Direct SAN/SMP pairs do NOT stripe even with
-		// alternates: their "alternate" is a detour over the same shared
-		// intra-cluster medium, so dealing segments onto it only adds
-		// relay hops. Single-rail direct pairs keep the whole-body
-		// rendez-vous; single-rail multi-hop routes keep the segmented
-		// pipeline.
-		if rails := d.Rails(sr.Dst); d.RelayStriping && len(rails) > 1 &&
-			(rt.Hops > 1 || rt.Class == "wan") {
-			thr := rt.SegBytes
-			if thr == 0 {
-				for _, r := range rails {
-					if r.SegBytes > 0 && (thr == 0 || r.SegBytes < thr) {
-						thr = r.SegBytes
-					}
-				}
-			}
-			if thr > 0 && len(sr.Data) > thr {
-				d.sendRndvStriped(sr, rails, h.SyncID)
-				return
-			}
+		if all := d.Rails(sr.Dst); d.RelayStriping && len(all) > 1 && (rt.Hops > 1 || rt.Class == "wan") {
+			rails = all
+		} else if rt.Hops > 1 {
+			rails = []Route{rt}
 		}
-		if rt.SegBytes > 0 && len(sr.Data) > rt.SegBytes && rt.Hops > 1 {
-			d.sendRndvSegmented(sr, rt, h.SyncID)
+	}
+	if rails != nil {
+		thr := rt.SegBytes
+		if thr == 0 {
+			thr = minSegBytes(rails)
+		}
+		if thr > 0 && len(sr.Data) > thr {
+			d.sendRndvSegments(sr, rails, h.SyncID)
 			return
 		}
 	}
@@ -902,63 +877,27 @@ func (d *Device) inSendOK(ch *madeleine.Channel, conn *madeleine.Connection, h h
 	})
 }
 
-// sendRndvSegmented ships a rendez-vous body over a multi-hop route as a
-// train of independent MAD_RNDVSEG_PKT messages (offset in the header,
-// segment as a zero-copy body). Each gateway relays segments one at a
-// time, so while segment k is re-emitted on the outbound hop, segment
-// k+1 is already serializing on the inbound hop: a 2-hop transfer costs
-// roughly one hop plus one segment instead of two full store-and-forward
-// passes. The per-segment EndPacking paces injection, so the train never
-// overruns the first hop.
-func (d *Device) sendRndvSegmented(sr *adi.SendReq, rt Route, sync uint32) {
-	d.proc.Spawn("ch_mad.rndvseg", func() {
-		total := len(sr.Data)
-		for off := 0; off < total; off += rt.SegBytes {
-			n := rt.SegBytes
-			if off+n > total {
-				n = total - off
-			}
-			seg := header{
-				Type:    PktRndvSeg,
-				SrcRank: sr.Env.Src,
-				DstRank: sr.Dst,
-				Len:     n,
-				SyncID:  sync,
-				Offset:  off,
-				Budget:  rt.Hops,
-			}
-			var t0 vtime.Time
-			if d.Trace != nil {
-				t0 = d.proc.S.Now()
-			}
-			conn, err := rt.Channel.BeginPacking(rt.NextNode)
-			if err == nil {
-				err = conn.Pack(seg.encode(), madeleine.SendCheaper, madeleine.ReceiveExpress)
-			}
-			if err == nil {
-				err = conn.Pack(sr.Data[off:off+n], madeleine.SendCheaper, madeleine.ReceiveCheaper)
-			}
-			if err == nil {
-				err = conn.EndPacking()
-			}
-			if d.Trace != nil {
-				d.Trace.Span(d.TraceTrack, trace.KRndv, "rndv.seg", t0, trace.Args{
-					HasPeer: true, Src: int32(sr.Env.Src), Dst: int32(sr.Dst),
-					Bytes: int64(n), Rail: 0, Hop: int16(rt.Hops), Seq: sync, Val: int64(off),
-				})
-			}
-			if err != nil {
-				sr.Err = err
-				sr.Done.Fire()
-				return
-			}
+// minSegBytes is the smallest nonzero SegBytes among rails, 0 when none
+// carries one.
+func minSegBytes(rails []Route) int {
+	seg := 0
+	for _, r := range rails {
+		if r.SegBytes > 0 && (seg == 0 || r.SegBytes < seg) {
+			seg = r.SegBytes
 		}
-		sr.Done.Fire()
-	})
+	}
+	return seg
 }
 
-// sendRndvStriped stripes a rendez-vous body across the destination's
-// edge-disjoint rails: the body is cut into uniform segments (the
+// sendRndvSegments ships a rendez-vous body as a train of independent
+// MAD_RNDVSEG_PKT messages (offset in the header, segment as a zero-copy
+// body). Each gateway relays segments one at a time, so while segment k
+// is re-emitted on the outbound hop, segment k+1 is already serializing
+// on the inbound hop: a 2-hop transfer costs roughly one hop plus one
+// segment instead of two full store-and-forward passes. The per-segment
+// EndPacking paces injection, so the train never overruns the first hop.
+//
+// With several rails the body is striped: cut into uniform segments (the
 // smallest rail segment, so every rail's bottleneck constraint holds)
 // dealt to whichever rail has the earliest predicted finish — pipeline
 // fill (Route.Cost - Route.BottleneckCost) plus dealt segments times the
@@ -967,14 +906,9 @@ func (d *Device) sendRndvSegmented(sr *adi.SendReq, rt Route, sync uint32) {
 // toward the shorter fill. Each segment's header carries its rail index
 // (PathID) and the rail's hop budget; gateways keep the stripe on the
 // matching budget-fitting rail of their own route set, and the receiver
-// reassembles by offset exactly as for the single-rail pipeline.
-func (d *Device) sendRndvStriped(sr *adi.SendReq, rails []Route, sync uint32) {
-	seg := 0
-	for _, r := range rails {
-		if r.SegBytes > 0 && (seg == 0 || r.SegBytes < seg) {
-			seg = r.SegBytes
-		}
-	}
+// reassembles by offset.
+func (d *Device) sendRndvSegments(sr *adi.SendReq, rails []Route, sync uint32) {
+	seg := minSegBytes(rails)
 	if seg == 0 {
 		// No rail carries a pacing segment (shouldn't happen — the rail
 		// installer backfills stripe segments): ship the whole body as a
@@ -1001,7 +935,7 @@ func (d *Device) sendRndvStriped(sr *adi.SendReq, rails []Route, sync uint32) {
 			fill[i] = r.Cost - pace[i]
 		}
 	}
-	d.proc.Spawn("ch_mad.rndvstripe", func() {
+	d.proc.Spawn("ch_mad.rndvseg", func() {
 		total := len(sr.Data)
 		dealt := make([]float64, len(rails))
 		for off := 0; off < total; off += seg {
@@ -1181,11 +1115,8 @@ func (d *Device) inNack(ch *madeleine.Channel, conn *madeleine.Connection, h hea
 	if h.Context == NackBusy {
 		attempt := d.retries[h.ReqID]
 		if attempt >= maxRndvRetries {
-			delete(d.pending, h.ReqID)
-			delete(d.retries, h.ReqID)
-			sr.Err = fmt.Errorf("ch_mad: gateway rank %d relay queue full for rank %d (gave up after %d retries)",
-				h.SrcRank, h.Tag, attempt)
-			sr.Done.Fire()
+			d.failSend(h.ReqID, sr, fmt.Errorf("ch_mad: gateway rank %d relay queue full for rank %d (gave up after %d retries)",
+				h.SrcRank, h.Tag, attempt))
 			return
 		}
 		d.retries[h.ReqID] = attempt + 1
@@ -1203,35 +1134,15 @@ func (d *Device) inNack(ch *madeleine.Channel, conn *madeleine.Connection, h hea
 			}
 			rt, ok := d.RouteTo(sr.Dst)
 			if !ok {
-				delete(d.pending, reqID)
-				delete(d.retries, reqID)
-				sr.Err = fmt.Errorf("ch_mad: rank %d lost its route to rank %d during retry", d.rank, sr.Dst)
-				sr.Done.Fire()
+				d.failSend(reqID, sr, fmt.Errorf("ch_mad: rank %d lost its route to rank %d during retry", d.rank, sr.Dst))
 				return
 			}
-			req := header{
-				Type:    PktRequest,
-				SrcRank: sr.Env.Src,
-				DstRank: sr.Dst,
-				Tag:     sr.Env.Tag,
-				Context: sr.Env.Context,
-				Len:     sr.Env.Len,
-				ReqID:   reqID,
-			}
-			if err := d.sendHeaderOnly(rt, req); err != nil {
-				delete(d.pending, reqID)
-				delete(d.retries, reqID)
-				sr.Err = err
-				sr.Done.Fire()
-			}
+			d.sendRequest(reqID, sr, rt)
 		})
 		return
 	}
-	delete(d.pending, h.ReqID)
-	delete(d.retries, h.ReqID)
-	sr.Err = fmt.Errorf("ch_mad: gateway rank %d has no route to rank %d (forwarding misconfigured)",
-		h.SrcRank, h.Tag)
-	sr.Done.Fire()
+	d.failSend(h.ReqID, sr, fmt.Errorf("ch_mad: gateway rank %d has no route to rank %d (forwarding misconfigured)",
+		h.SrcRank, h.Tag))
 }
 
 // forward relays a message addressed to another rank toward its
@@ -1296,7 +1207,6 @@ func (d *Device) forward(ch *madeleine.Channel, conn *madeleine.Connection, h he
 				}
 				d.handling(ch)
 				d.NRelayBusy++
-				d.Metrics.Add("relay.busynack", d.MetricsLabel, 1)
 				if d.Trace != nil {
 					d.Trace.Instant(d.TraceTrack, trace.KCredit, "relay.busy", trace.Args{
 						HasPeer: true, Src: int32(h.SrcRank), Dst: int32(h.DstRank),
@@ -1319,7 +1229,6 @@ func (d *Device) forward(ch *madeleine.Channel, conn *madeleine.Connection, h he
 				// The inbound channel stalls behind us — the modeled
 				// backpressure on upstream senders.
 				d.NRelayDeferred++
-				d.Metrics.Add("relay.deferred", d.MetricsLabel, 1)
 				var w0 vtime.Time
 				if d.Trace != nil {
 					w0 = d.proc.S.Now()
@@ -1343,15 +1252,12 @@ func (d *Device) forward(ch *madeleine.Channel, conn *madeleine.Connection, h he
 	d.handling(ch)
 	d.NForwarded++
 	d.RelayBytes += uint64(len(body))
-	d.Metrics.Add("relay.msgs", d.MetricsLabel, 1)
-	d.Metrics.Add("relay.bytes", d.MetricsLabel, int64(len(body)))
 	// Only stored bodies occupy the store-and-forward queue: header-only
 	// control forwards (SendOK, nacks, admitted requests) hold no buffer
 	// and no credit, so they must not count toward the bounded depth.
 	if bodyLen > 0 {
 		d.relayInFlight++
 		d.noteRelayDepth()
-		d.Metrics.SetMax("relay.qpeak", d.MetricsLabel, int64(d.relayInFlight))
 		if d.Trace != nil {
 			d.Trace.Counter(d.TraceTrack, trace.KRelay, "relay.depth", int64(d.RelayQueueDepth()))
 		}
@@ -1476,7 +1382,6 @@ func (d *Device) nackSender(h header, reason int) {
 func (d *Device) relayNoRoute(h header) {
 	d.NRelayDrops++
 	d.NDropsNoRoute++
-	d.Metrics.Add("relay.drops", d.MetricsLabel, 1)
 	if d.Trace != nil {
 		d.Trace.Instant(d.TraceTrack, trace.KRelay, "relay.drop", trace.Args{
 			HasPeer: true, Src: int32(h.SrcRank), Dst: int32(h.DstRank),

@@ -49,17 +49,26 @@ func newRig(t *testing.T, n int, paramSets ...netsim.Params) *rig {
 		r.devs = append(r.devs, dev)
 	}
 	for i := 0; i < n; i++ {
+		table := make(map[int][]Route)
 		for j := 0; j < n; j++ {
 			if i == j {
 				continue
 			}
-			r.devs[i].AddRoute(j, Route{Channel: r.devs[i].Channels()[0], NextNode: fmt.Sprintf("n%d", j)})
+			table[j] = []Route{{Channel: r.devs[i].Channels()[0], NextNode: fmt.Sprintf("n%d", j)}}
 		}
+		installRoutes(r.devs[i], table)
 	}
 	for i := 0; i < n; i++ {
 		r.devs[i].Start()
 	}
 	return r
+}
+
+// installRoutes gives d a static route table — destination rank -> rails,
+// primary first — through its rail source, the one way a device gets
+// routes.
+func installRoutes(d *Device, table map[int][]Route) {
+	d.SetRailSource(func(dst int) []Route { return table[dst] })
 }
 
 func (r *rig) run(t *testing.T) {
@@ -357,12 +366,18 @@ func TestForwardingAcrossHeterogeneousNetworks(t *testing.T) {
 	ch2 := mk(2, "myri", myri)
 	devs[2].AddChannel(ch2)
 
-	devs[0].AddRoute(1, Route{Channel: ch0, NextNode: "n1"})
-	devs[0].AddRoute(2, Route{Channel: ch0, NextNode: "n1"}) // via gateway
-	devs[1].AddRoute(0, Route{Channel: ch1s, NextNode: "n0"})
-	devs[1].AddRoute(2, Route{Channel: ch1m, NextNode: "n2"})
-	devs[2].AddRoute(1, Route{Channel: ch2, NextNode: "n1"})
-	devs[2].AddRoute(0, Route{Channel: ch2, NextNode: "n1"}) // via gateway
+	installRoutes(devs[0], map[int][]Route{
+		1: {{Channel: ch0, NextNode: "n1"}},
+		2: {{Channel: ch0, NextNode: "n1"}}, // via gateway
+	})
+	installRoutes(devs[1], map[int][]Route{
+		0: {{Channel: ch1s, NextNode: "n0"}},
+		2: {{Channel: ch1m, NextNode: "n2"}},
+	})
+	installRoutes(devs[2], map[int][]Route{
+		1: {{Channel: ch2, NextNode: "n1"}},
+		0: {{Channel: ch2, NextNode: "n1"}}, // via gateway
+	})
 	for i := 0; i < 3; i++ {
 		devs[i].Start()
 	}

@@ -3,15 +3,17 @@ package core
 import "testing"
 
 // TestSwitchPointToResolution pins the per-link threshold resolution
-// order: forced uniform value (SetSwitchPoint / PerLinkSwitch off), then
-// the measured per-class override, then the route's native SwitchBytes,
-// then the elected device-wide fallback.
+// order: forced uniform value (SetSwitchPoint), then the measured
+// per-class override, then the route's native SwitchBytes, then the
+// elected device-wide fallback.
 func TestSwitchPointToResolution(t *testing.T) {
 	d := New(nil, nil, 0)
 	d.switchPoint = 8 << 10 // stand-in for the elected fallback
 
-	d.AddRoute(1, Route{SwitchBytes: 64 << 10, Class: "wan"})
-	d.AddRoute(2, Route{Class: "san"}) // no native threshold recorded
+	installRoutes(d, map[int][]Route{
+		1: {{SwitchBytes: 64 << 10, Class: "wan"}},
+		2: {{Class: "san"}}, // no native threshold recorded
+	})
 
 	if got := d.SwitchPointTo(9); got != 8<<10 {
 		t.Errorf("unroutable dst: SwitchPointTo = %d, want elected 8K", got)
@@ -37,15 +39,14 @@ func TestSwitchPointToResolution(t *testing.T) {
 		t.Errorf("override removed: SwitchPointTo = %d, want 64K", got)
 	}
 
-	// The uniform ablation pins every link to the device-wide value.
-	d.PerLinkSwitch = false
-	if got := d.SwitchPointTo(1); got != 8<<10 {
-		t.Errorf("PerLinkSwitch off: SwitchPointTo = %d, want 8K", got)
-	}
-	d.PerLinkSwitch = true
-
-	// A forced SetSwitchPoint (ablation X1) wins over everything.
+	// A forced SetSwitchPoint wins over everything. The uniform ch_mad-only
+	// session forces the device-wide value it elected; ablation X1 forces
+	// an arbitrary one.
 	d.SetClassSwitchPoint("wan", 16<<10)
+	d.SetSwitchPoint(d.SwitchPoint())
+	if got := d.SwitchPointTo(1); got != 8<<10 {
+		t.Errorf("uniform: SwitchPointTo = %d, want 8K", got)
+	}
 	d.SetSwitchPoint(4 << 10)
 	if got := d.SwitchPointTo(1); got != 4<<10 {
 		t.Errorf("forced uniform: SwitchPointTo = %d, want 4K", got)

@@ -56,11 +56,17 @@ func brokenGatewayRig(t *testing.T) (*vtime.Scheduler, []*marcel.Proc, []*Device
 	devs[1].AddChannel(ch1m)
 	devs[2].AddChannel(ch2)
 
-	devs[0].AddRoute(1, Route{Channel: ch0, NextNode: "n1"})
-	devs[0].AddRoute(2, Route{Channel: ch0, NextNode: "n1", Hops: 2}) // via gateway
-	devs[1].AddRoute(0, Route{Channel: ch1s, NextNode: "n0"})
-	// Deliberately missing: devs[1].AddRoute(2, ...).
-	devs[2].AddRoute(1, Route{Channel: ch2, NextNode: "n1"})
+	installRoutes(devs[0], map[int][]Route{
+		1: {{Channel: ch0, NextNode: "n1"}},
+		2: {{Channel: ch0, NextNode: "n1", Hops: 2}}, // via gateway
+	})
+	installRoutes(devs[1], map[int][]Route{
+		0: {{Channel: ch1s, NextNode: "n0"}},
+		// Deliberately missing: the onward route to rank 2.
+	})
+	installRoutes(devs[2], map[int][]Route{
+		1: {{Channel: ch2, NextNode: "n1"}},
+	})
 	for i := 0; i < 3; i++ {
 		devs[i].Start()
 	}

@@ -80,19 +80,25 @@ func diamondRig(t *testing.T, seg int) *wireRig {
 	r := newWireRig(t, 4, netsim.SCISISCI(), netsim.MyrinetBIP())
 	left := func(i int) *madeleine.Channel { return r.chans[i][0] }
 	right := func(i int) *madeleine.Channel { return r.chans[i][1] }
-	r.devs[0].AddRoute(1, Route{Channel: left(0), NextNode: "n1"})
-	r.devs[0].AddRoute(2, Route{Channel: left(0), NextNode: "n2"})
-	r.devs[0].SetRails(3, []Route{
-		{Channel: left(0), NextNode: "n1", Hops: 2, SegBytes: seg, Cost: 1e-3},
-		{Channel: left(0), NextNode: "n2", Hops: 2, SegBytes: seg, Cost: 1e-3},
+	installRoutes(r.devs[0], map[int][]Route{
+		1: {{Channel: left(0), NextNode: "n1"}},
+		2: {{Channel: left(0), NextNode: "n2"}},
+		3: {
+			{Channel: left(0), NextNode: "n1", Hops: 2, SegBytes: seg, Cost: 1e-3},
+			{Channel: left(0), NextNode: "n2", Hops: 2, SegBytes: seg, Cost: 1e-3},
+		},
 	})
 	for _, gw := range []int{1, 2} {
-		r.devs[gw].AddRoute(0, Route{Channel: left(gw), NextNode: "n0"})
-		r.devs[gw].AddRoute(3, Route{Channel: right(gw), NextNode: "n3"})
+		installRoutes(r.devs[gw], map[int][]Route{
+			0: {{Channel: left(gw), NextNode: "n0"}},
+			3: {{Channel: right(gw), NextNode: "n3"}},
+		})
 	}
-	r.devs[3].AddRoute(0, Route{Channel: right(3), NextNode: "n1", Hops: 2})
-	r.devs[3].AddRoute(1, Route{Channel: right(3), NextNode: "n1"})
-	r.devs[3].AddRoute(2, Route{Channel: right(3), NextNode: "n2"})
+	installRoutes(r.devs[3], map[int][]Route{
+		0: {{Channel: right(3), NextNode: "n1", Hops: 2}},
+		1: {{Channel: right(3), NextNode: "n1"}},
+		2: {{Channel: right(3), NextNode: "n2"}},
+	})
 	return r
 }
 
@@ -173,7 +179,7 @@ func TestRailForBudget(t *testing.T) {
 	d := r.devs[1]
 	direct := Route{Channel: r.chans[1][0], NextNode: "n3", Hops: 1}
 	detour := Route{Channel: r.chans[1][0], NextNode: "n2", Hops: 2}
-	d.SetRails(3, []Route{direct, detour})
+	installRoutes(d, map[int][]Route{3: {direct, detour}})
 	// One hop of budget left: the PathID-named detour does not fit.
 	if rt, ok := d.railFor(header{DstRank: 3, PathID: 1, Budget: 1}, "n0"); !ok || rt.NextNode != "n3" {
 		t.Fatalf("budget 1 chose %+v, want the direct hop", rt)
@@ -200,12 +206,18 @@ func chainRig(t *testing.T, w, seg int) *wireRig {
 	r := newWireRig(t, 3, netsim.SCISISCI(), netsim.FastEthernetTCP())
 	sci := func(i int) *madeleine.Channel { return r.chans[i][0] }
 	tcp := func(i int) *madeleine.Channel { return r.chans[i][1] }
-	r.devs[0].AddRoute(1, Route{Channel: sci(0), NextNode: "n1"})
-	r.devs[0].AddRoute(2, Route{Channel: sci(0), NextNode: "n1", Hops: 2, SegBytes: seg})
-	r.devs[1].AddRoute(0, Route{Channel: sci(1), NextNode: "n0"})
-	r.devs[1].AddRoute(2, Route{Channel: tcp(1), NextNode: "n2"})
-	r.devs[2].AddRoute(1, Route{Channel: tcp(2), NextNode: "n1"})
-	r.devs[2].AddRoute(0, Route{Channel: tcp(2), NextNode: "n1", Hops: 2})
+	installRoutes(r.devs[0], map[int][]Route{
+		1: {{Channel: sci(0), NextNode: "n1"}},
+		2: {{Channel: sci(0), NextNode: "n1", Hops: 2, SegBytes: seg}},
+	})
+	installRoutes(r.devs[1], map[int][]Route{
+		0: {{Channel: sci(1), NextNode: "n0"}},
+		2: {{Channel: tcp(1), NextNode: "n2"}},
+	})
+	installRoutes(r.devs[2], map[int][]Route{
+		1: {{Channel: tcp(2), NextNode: "n1"}},
+		0: {{Channel: tcp(2), NextNode: "n1", Hops: 2}},
+	})
 	r.devs[1].RelayWindow = w
 	return r
 }
@@ -374,4 +386,35 @@ func TestRelayDropReasons(t *testing.T) {
 	if gw.NRelayDrops != gw.NDropsQueueFull+gw.NDropsNoRoute {
 		t.Errorf("total drops %d != %d+%d", gw.NRelayDrops, gw.NDropsNoRoute, gw.NDropsQueueFull)
 	}
+}
+
+// TestRelayWindowHintMidTrafficKeepsWindow: a relay-window hint that
+// arrives while a relayed body holds a credit is ignored whole, so the
+// credit semaphore and the window admission control and the audit read
+// stay in step; the same hint on an idle queue is adopted.
+func TestRelayWindowHintMidTrafficKeepsWindow(t *testing.T) {
+	r := newWireRig(t, 1, netsim.SCISISCI())
+	d := r.devs[0]
+	d.RelayWindow = 2
+	r.start()
+
+	d.relayInFlight = 1 // a relayed body is held for re-emission
+	d.SetRelayWindowHint("net0", 8)
+	if d.RelayWindow != 2 {
+		t.Errorf("mid-traffic hint changed RelayWindow to %d, want 2", d.RelayWindow)
+	}
+	d.relayInFlight = 0 // the body drained
+	if err := d.AuditInvariants(); err != nil {
+		t.Errorf("after a mid-traffic hint: %v", err)
+	}
+
+	d.SetRelayWindowHint("net0", 8)
+	if d.RelayWindow != 8 || d.relayCredits.Value() != 8 {
+		t.Errorf("idle hint: RelayWindow %d with %d credits, want 8 and 8",
+			d.RelayWindow, d.relayCredits.Value())
+	}
+	if err := d.AuditInvariants(); err != nil {
+		t.Errorf("after an idle hint: %v", err)
+	}
+	r.run(t)
 }

@@ -6,12 +6,18 @@ package experiments
 // core (Table 2) packages.
 
 import (
+	"flag"
 	"fmt"
+	"os"
 	"strings"
 	"testing"
 
 	"mpichmad/internal/stats"
 )
+
+var updateArtifacts = flag.Bool("update-artifacts", false, "rewrite testdata/artifacts.golden")
+
+const artifactsGolden = "testdata/artifacts.golden"
 
 func get(t *testing.T, s *stats.Series, size int) stats.Point {
 	t.Helper()
@@ -246,6 +252,14 @@ func TestAllAndByID(t *testing.T) {
 // sorted map iterations) or explicitly seeded (netsim's fault-jitter
 // PRNG), so a diff means map order, wall-clock time or an unseeded
 // generator leaked into simulation behaviour.
+//
+// Each artifact's text is also compared byte for byte with
+// testdata/artifacts.golden, which pins every table, figure, relay table
+// and link map. Regenerate it with
+//
+//	go test ./internal/experiments -run TestAllRegeneratesEveryArtifact -update-artifacts
+//
+// only when an output change is intended, and justify every moved line.
 func TestAllRegeneratesEveryArtifact(t *testing.T) {
 	results, err := All()
 	if err != nil {
@@ -273,16 +287,80 @@ func TestAllRegeneratesEveryArtifact(t *testing.T) {
 			continue
 		}
 		if again.Text != r.Text {
-			t.Errorf("ByID(%q) rendered different text than All():\n%s", r.ID, divergence(r.Text, again.Text))
+			t.Errorf("ByID(%q) rendered different text than All():\n%s", r.ID, divergence("All", r.Text, "ByID", again.Text))
+		}
+	}
+	if *updateArtifacts {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(artifactsGolden, encodeArtifacts(results), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	data, err := os.ReadFile(artifactsGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := decodeArtifacts(data)
+	if err != nil {
+		t.Fatalf("%s: %v", artifactsGolden, err)
+	}
+	if len(want) != len(results) {
+		t.Errorf("%s holds %d artifacts, All produced %d", artifactsGolden, len(want), len(results))
+	}
+	for _, r := range results {
+		w, ok := want[r.ID]
+		if !ok {
+			t.Errorf("%s has no %q artifact", artifactsGolden, r.ID)
+			continue
+		}
+		if w != r.Text {
+			t.Errorf("%s differs from %s:\n%s", r.ID, artifactsGolden, divergence("golden", w, "All", r.Text))
 		}
 	}
 }
 
-// divergence reports, line by line, where two renderings of an artifact
-// differ.
-func divergence(all, byID string) string {
+// encodeArtifacts renders the golden file: each artifact's text behind a
+// "=== <id> <bytes>" header line, so texts need no escaping.
+func encodeArtifacts(results []*Result) []byte {
 	var b strings.Builder
-	la, lb := strings.Split(all, "\n"), strings.Split(byID, "\n")
+	for _, r := range results {
+		fmt.Fprintf(&b, "=== %s %d\n%s\n", r.ID, len(r.Text), r.Text)
+	}
+	return []byte(b.String())
+}
+
+// decodeArtifacts parses encodeArtifacts' format into id -> text.
+func decodeArtifacts(data []byte) (map[string]string, error) {
+	out := make(map[string]string)
+	s := string(data)
+	for s != "" {
+		nl := strings.IndexByte(s, '\n')
+		if nl < 0 {
+			return nil, fmt.Errorf("truncated header %q", s)
+		}
+		var id string
+		var n int
+		if _, err := fmt.Sscanf(s[:nl], "=== %s %d", &id, &n); err != nil {
+			return nil, fmt.Errorf("bad header %q: %v", s[:nl], err)
+		}
+		s = s[nl+1:]
+		if len(s) <= n || s[n] != '\n' {
+			return nil, fmt.Errorf("artifact %s: text shorter than its %d bytes", id, n)
+		}
+		out[id] = s[:n]
+		s = s[n+1:]
+	}
+	return out, nil
+}
+
+// divergence reports, line by line, where two renderings of an artifact
+// differ; an and bn name the renderings a and b.
+func divergence(an, a, bn, b string) string {
+	var out strings.Builder
+	la, lb := strings.Split(a, "\n"), strings.Split(b, "\n")
 	for i := 0; i < len(la) || i < len(lb); i++ {
 		var x, y string
 		if i < len(la) {
@@ -292,11 +370,11 @@ func divergence(all, byID string) string {
 			y = lb[i]
 		}
 		if x != y {
-			fmt.Fprintf(&b, "line %d diverged:\n  All:  %s\n  ByID: %s\n", i+1, x, y)
+			fmt.Fprintf(&out, "line %d diverged:\n  %s: %s\n  %s: %s\n", i+1, an, x, bn, y)
 		}
 	}
-	if b.Len() == 0 {
+	if out.Len() == 0 {
 		return "texts differ but no line diverged (trailing newline?)"
 	}
-	return b.String()
+	return out.String()
 }

@@ -50,18 +50,14 @@ type Process struct {
 	tuned      *tuneTable
 	forcedAlgo *collAlgo
 
-	// linkClass[dst] names the device class of the link toward each world
+	// linkClassFn resolves the device class of the link toward a world
 	// rank ("self", "smp", "san", "wan"), installed by the cluster wiring
-	// when the session runs the per-link device mux (nil otherwise);
-	// classProbes lists the representative rank pairs the autotuner times
-	// to measure per-class eager thresholds, identical on every rank;
-	// classSwitch holds the measured per-class thresholds once installed.
-	// linkClassFn/linkClassMemo are the lazy alternative at scale: the
-	// session installs a resolver instead of an N-entry table, and each
-	// destination's class is resolved on first query and memoized for the
-	// life of the process (matching the eager table's frozen-at-build
-	// semantics across re-plans).
-	linkClass     []string
+	// when the session runs the per-link device mux (nil otherwise); each
+	// destination's class is resolved on first query and memoized in
+	// linkClassMemo for the life of the process. classProbes lists the
+	// representative rank pairs the autotuner times to measure per-class
+	// eager thresholds, identical on every rank; classSwitch holds the
+	// measured per-class thresholds once installed.
 	linkClassFn   func(dst int) string
 	linkClassMemo map[int]string
 	classProbes   []ClassProbe

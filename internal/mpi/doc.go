@@ -192,11 +192,10 @@
 // classifies every ordered rank pair into a device class — "self"
 // (intra-process, chself), "smp" (intra-node, smp_plug), "san"
 // (intra-cluster SAN such as SCI or Myrinet/BIP) or "wan" (a commodity
-// backbone) — and installs the classification on each rank: small
-// sessions may still hand over an eager table (Process.SetLinkClasses),
-// the cluster wiring installs a lazy resolver
-// (Process.SetLinkClassResolver) that classifies each destination on the
-// first LinkClassOf query and memoizes it for the life of the process.
+// backbone) — and installs the classification on each rank as a lazy
+// resolver (Process.SetLinkClassResolver) that classifies each
+// destination on the first LinkClassOf query and memoizes it for the life
+// of the process.
 // Three layers consume it:
 //
 //   - Routing: internal/route's edge costs are device-aware — an eager
@@ -341,11 +340,12 @@
 // JSON with timestamps in virtual microseconds — load it in
 // ui.perfetto.dev (or chrome://tracing). Each session is a process;
 // each rank, each network and the session-control line are tracks
-// within it. The registry (trace.Registry) aggregates counters per
-// device class and per gateway (eager/rndv/relay bytes and messages,
-// deferred bodies, busy nacks, queue high-water, trunk waits) and
-// always runs — cluster.Session.RelayStats and the RelayTable
-// trunk-wait column read it with tracing off.
+// within it. The registry (trace.Registry) always runs and holds the
+// counts no other store keeps: eager and rendez-vous messages per device
+// class, and trunk wait per node, which the RelayTable trunk-wait column
+// (cluster.Session.RelayStats) reads with tracing off. Relay totals
+// (messages, bytes, drops, deferred bodies, busy nacks, queue
+// high-water) are core.Device fields, and trunk totals netsim Stats.
 //
 // The flight recorder closes the loop with the failure paths: a traced
 // session points vtime.Scheduler.OnDeadlock at the tracer's ring, so a

@@ -71,23 +71,14 @@ type ClassProbe struct {
 	A, B  int
 }
 
-// SetLinkClasses installs the device class of the link from this rank
-// toward every world rank ("self", "smp", "san", "wan") — the per-link
-// device mux's view of the topology, used by diagnostics and the
-// per-class threshold installer. Called by the cluster wiring.
-func (p *Process) SetLinkClasses(classes []string) {
-	p.linkClass = append([]string(nil), classes...)
-	p.linkClassFn, p.linkClassMemo = nil, nil
-}
-
-// SetLinkClassResolver installs a lazy per-destination class resolver in
-// place of the eager N-entry table: LinkClassOf consults fn on the first
-// query for a destination and memoizes the answer for the life of the
-// process. The memo is deliberately never invalidated — the eager table
-// was captured at build time and survived re-plans unchanged, and the
-// lazy path pins the same frozen semantics.
+// SetLinkClassResolver installs the device class resolver of the links
+// from this rank ("self", "smp", "san", "wan") — the per-link device mux's
+// view of the topology, used by diagnostics and the per-class threshold
+// installer. LinkClassOf consults fn on the first query for a destination
+// and memoizes the answer for the life of the process: a link's class is
+// frozen at its first query and survives re-plans unchanged. Called by
+// the cluster wiring.
 func (p *Process) SetLinkClassResolver(fn func(dst int) string) {
-	p.linkClass = nil
 	p.linkClassFn = fn
 	p.linkClassMemo = nil
 }
@@ -97,12 +88,6 @@ func (p *Process) SetLinkClassResolver(fn func(dst int) string) {
 func (p *Process) LinkClassOf(dst int) string {
 	if dst < 0 || dst >= p.size {
 		return ""
-	}
-	if p.linkClass != nil {
-		if dst >= len(p.linkClass) {
-			return ""
-		}
-		return p.linkClass[dst]
 	}
 	if p.linkClassFn == nil {
 		return ""

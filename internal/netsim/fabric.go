@@ -244,7 +244,6 @@ func (ep *Endpoint) Send(pkt *Packet) error {
 		n.trunkEnds = append(n.trunkEnds, trunkEnd)
 		if occ > n.Stats.TrunkPeak {
 			n.Stats.TrunkPeak = occ
-			n.Metrics.SetMax("trunk.peak", n.Name, int64(occ))
 		}
 		if n.Trace != nil {
 			n.Trace.Counter(n.TraceTrack, trace.KNet, "trunk.occ", int64(occ))

@@ -3,7 +3,7 @@ package trace
 import "sort"
 
 // regKey identifies one metric instance. A struct key (not a formatted
-// string) keeps Add/SetMax allocation-free on hot paths; callers cache
+// string) keeps Add allocation-free on hot paths; callers cache
 // their label strings once (device class, gateway name) and reuse them.
 type regKey struct {
 	name  string
@@ -17,10 +17,14 @@ type Metric struct {
 	Value int64
 }
 
-// Registry aggregates counters and high-water gauges per device class
-// and per gateway/network. Like the Tracer, all methods are nil-safe so
-// instrumented code needs no wiring checks; unlike the Tracer, sessions
-// always carry a registry (it feeds stats.RelayTable), tracing or not.
+// Registry aggregates counters under a label such as a device class or a
+// node. It holds only counts no other store keeps: a session's registry
+// carries eager and rendez-vous messages per device class (core) and
+// trunk wait per node (netsim, the trunk-wait column of
+// stats.RelayTable); totals that live in a device field or a network's
+// Stats are not duplicated here. Like the Tracer, all methods are
+// nil-safe so instrumented code needs no wiring checks; unlike the
+// Tracer, sessions always carry a registry, tracing or not.
 type Registry struct {
 	m map[regKey]*Metric
 }
@@ -46,17 +50,6 @@ func (r *Registry) Add(name, label string, v int64) {
 		return
 	}
 	r.metric(name, label).Value += v
-}
-
-// SetMax raises the (name, label) gauge to v if v is higher — the
-// high-water pattern (queue depth peaks, trunk backlog peaks).
-func (r *Registry) SetMax(name, label string, v int64) {
-	if r == nil {
-		return
-	}
-	if m := r.metric(name, label); v > m.Value {
-		m.Value = v
-	}
 }
 
 // Get reads a metric, zero if absent (or the registry is nil).

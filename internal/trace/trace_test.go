@@ -41,7 +41,6 @@ func TestNilTracerIsSafe(t *testing.T) {
 func TestNilRegistryIsSafe(t *testing.T) {
 	var r *Registry
 	r.Add("a", "b", 1)
-	r.SetMax("a", "b", 2)
 	if r.Get("a", "b") != 0 {
 		t.Fatal("nil Get != 0")
 	}
@@ -79,13 +78,12 @@ func TestRegistrySnapshotSortedAndAggregated(t *testing.T) {
 	r.Add("relay.bytes", "gwB", 100)
 	r.Add("relay.bytes", "gwA", 7)
 	r.Add("relay.bytes", "gwB", 28)
-	r.SetMax("relay.qpeak", "gwA", 3)
-	r.SetMax("relay.qpeak", "gwA", 2) // lower sample must not regress the peak
+	r.Add("trunk.wait.ns", "gwA", 3)
 	snap := r.Snapshot()
 	want := []Metric{
 		{"relay.bytes", "gwA", 7},
 		{"relay.bytes", "gwB", 128},
-		{"relay.qpeak", "gwA", 3},
+		{"trunk.wait.ns", "gwA", 3},
 	}
 	if len(snap) != len(want) {
 		t.Fatalf("snapshot = %+v", snap)
