@@ -1,12 +1,15 @@
-// Top-level benchmark harness: one benchmark per table and figure of the
-// paper's evaluation (§5), plus the ablations from DESIGN.md. Wall-clock
-// ns/op measures the simulator; the *paper-relevant* results are the
-// custom metrics, reported in virtual microseconds (vus) and paper
-// megabytes per second (MB/s, 1 MB = 2^20 B):
+// Top-level benchmark harness. Every virtual-time number of the paper's
+// evaluation (§5) and of the extensions is pinned exactly by
+// internal/experiments (TestAllRegeneratesEveryArtifact, against
+// testdata/artifacts.golden and BENCH_collectives.json), so these
+// benchmarks measure only the simulator's own wall-clock cost:
 //
-//	go test -bench=. -benchmem
+//	go test -run '^$' -bench BenchmarkExperiments .   # ns/op per experiment
+//	go test -run '^$' -bench BenchmarkScaleMachine -benchtime 1x .
 //
-// The regenerated rows/series themselves come from:
+// BenchmarkScaleMachine also records the routing planner's growth from
+// 256 to 1024 ranks and the 1024-rank run's wall time to BENCH_scale.json
+// for cmd/benchcheck. The regenerated tables themselves come from:
 //
 //	go run ./cmd/experiments -exp all
 package mpichmad_test
@@ -19,314 +22,22 @@ import (
 	"testing"
 	"time"
 
-	"mpichmad/internal/baselines"
-	"mpichmad/internal/cluster"
 	"mpichmad/internal/experiments"
-	"mpichmad/internal/mpptest"
 	"mpichmad/internal/netsim"
 	"mpichmad/internal/route"
-	"mpichmad/internal/stats"
 )
 
-// BenchmarkTable1RawMadeleine regenerates Table 1: raw Madeleine latency
-// (4 B) and bandwidth (8 MB) per protocol.
-func BenchmarkTable1RawMadeleine(b *testing.B) {
-	for _, params := range []netsim.Params{
-		netsim.FastEthernetTCP(), netsim.SCISISCI(), netsim.MyrinetBIP(),
-	} {
-		params := params
-		b.Run(params.Protocol, func(b *testing.B) {
-			var lat, bw float64
-			for i := 0; i < b.N; i++ {
-				l, err := mpptest.RawMadeleine("raw", params, []int{4}, mpptest.Config{})
-				if err != nil {
+// BenchmarkExperiments regenerates each experiment of cmd/experiments'
+// table, one sub-benchmark per id, and reports its wall time per run.
+func BenchmarkExperiments(b *testing.B) {
+	for _, id := range experiments.IDs() {
+		b.Run(id, func(b *testing.B) {
+			for b.Loop() {
+				if _, err := experiments.ByID(id); err != nil {
 					b.Fatal(err)
 				}
-				w, err := mpptest.RawMadeleine("raw", params, []int{8 * netsim.MB}, mpptest.Config{Iters: 1})
-				if err != nil {
-					b.Fatal(err)
-				}
-				lat = l.Points[0].LatencyUS()
-				bw = w.Points[0].BandwidthMBs()
 			}
-			b.ReportMetric(lat, "vus/4B")
-			b.ReportMetric(bw, "MB/s@8MB")
 		})
-	}
-}
-
-// figBench runs one figure experiment and reports its headline metrics:
-// the small-message latency of each series and the 1 MB bandwidth.
-func figBench(b *testing.B, gen func(byte) (*experiments.Result, error)) {
-	b.Helper()
-	var latA, bw1M map[string]float64
-	for i := 0; i < b.N; i++ {
-		ra, err := gen('a')
-		if err != nil {
-			b.Fatal(err)
-		}
-		rb, err := gen('b')
-		if err != nil {
-			b.Fatal(err)
-		}
-		latA = map[string]float64{}
-		bw1M = map[string]float64{}
-		for _, s := range ra.Series {
-			if p, ok := s.At(4); ok {
-				latA[s.Name] = p.LatencyUS()
-			}
-		}
-		for _, s := range rb.Series {
-			if p, ok := s.At(1 << 20); ok {
-				bw1M[s.Name] = p.BandwidthMBs()
-			}
-		}
-	}
-	for name, v := range latA {
-		b.ReportMetric(v, "vus4B:"+sanitize(name))
-	}
-	for name, v := range bw1M {
-		b.ReportMetric(v, "MB/s1M:"+sanitize(name))
-	}
-}
-
-func sanitize(s string) string {
-	out := make([]rune, 0, len(s))
-	for _, r := range s {
-		switch r {
-		case ' ', '/', '+':
-			out = append(out, '_')
-		default:
-			out = append(out, r)
-		}
-	}
-	return string(out)
-}
-
-// BenchmarkFig6TCP regenerates Figure 6 (ch_mad vs ch_p4 vs raw Madeleine
-// on TCP/Fast-Ethernet).
-func BenchmarkFig6TCP(b *testing.B) { figBench(b, experiments.Fig6) }
-
-// BenchmarkFig7SCI regenerates Figure 7 (ch_mad vs ScaMPI vs SCI-MPICH vs
-// raw Madeleine on SISCI/SCI).
-func BenchmarkFig7SCI(b *testing.B) { figBench(b, experiments.Fig7) }
-
-// BenchmarkFig8BIP regenerates Figure 8 (ch_mad vs MPI-GM vs MPICH-PM vs
-// raw Madeleine on BIP/Myrinet).
-func BenchmarkFig8BIP(b *testing.B) { figBench(b, experiments.Fig8) }
-
-// BenchmarkFig9MultiProtocol regenerates Figure 9 (SCI alone vs SCI with
-// an additional idle TCP polling thread) and reports the latency gap.
-func BenchmarkFig9MultiProtocol(b *testing.B) {
-	var aloneLat, bothLat, aloneBW, bothBW float64
-	for i := 0; i < b.N; i++ {
-		ra, err := experiments.Fig9('a')
-		if err != nil {
-			b.Fatal(err)
-		}
-		rb, err := experiments.Fig9('b')
-		if err != nil {
-			b.Fatal(err)
-		}
-		pa, _ := ra.Series[0].At(4)
-		pb, _ := ra.Series[1].At(4)
-		aloneLat, bothLat = pa.LatencyUS(), pb.LatencyUS()
-		qa, _ := rb.Series[0].At(1 << 20)
-		qb, _ := rb.Series[1].At(1 << 20)
-		aloneBW, bothBW = qa.BandwidthMBs(), qb.BandwidthMBs()
-	}
-	b.ReportMetric(aloneLat, "vus4B:SCI_only")
-	b.ReportMetric(bothLat, "vus4B:SCI+TCP")
-	b.ReportMetric(bothLat-aloneLat, "vus4B:gap")
-	b.ReportMetric(aloneBW, "MB/s1M:SCI_only")
-	b.ReportMetric(bothBW, "MB/s1M:SCI+TCP")
-}
-
-// BenchmarkTable2Summary regenerates Table 2: ch_mad 0 B / 4 B latency and
-// 8 MB bandwidth per network.
-func BenchmarkTable2Summary(b *testing.B) {
-	for _, proto := range []string{"tcp", "sisci", "bip"} {
-		proto := proto
-		b.Run(proto, func(b *testing.B) {
-			var l0, l4, bw float64
-			for i := 0; i < b.N; i++ {
-				s, err := mpptest.MPIPingPong("ch_mad", cluster.TwoNodes(proto),
-					[]int{0, 4, 8 * netsim.MB}, mpptest.Config{Iters: 2})
-				if err != nil {
-					b.Fatal(err)
-				}
-				p0, _ := s.At(0)
-				p4, _ := s.At(4)
-				p8, _ := s.At(8 * netsim.MB)
-				l0, l4, bw = p0.LatencyUS(), p4.LatencyUS(), p8.BandwidthMBs()
-			}
-			b.ReportMetric(l0, "vus/0B")
-			b.ReportMetric(l4, "vus/4B")
-			b.ReportMetric(bw, "MB/s@8MB")
-		})
-	}
-}
-
-// BenchmarkAblationSwitchPoint regenerates ablation X1: the effect of the
-// single elected eager->rendez-vous threshold on the SCI+TCP config.
-func BenchmarkAblationSwitchPoint(b *testing.B) {
-	var res *experiments.Result
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.AblationSwitchPoint()
-		if err != nil {
-			b.Fatal(err)
-		}
-		res = r
-	}
-	for _, s := range res.Series {
-		if p, ok := s.At(16 << 10); ok {
-			b.ReportMetric(p.BandwidthMBs(), "MB/s16K:"+sanitize(s.Name))
-		}
-	}
-}
-
-// BenchmarkAblationHeaderSplit regenerates ablation X2: the §4.2.2
-// header/body split versus the monolithic padded eager buffer.
-func BenchmarkAblationHeaderSplit(b *testing.B) {
-	var res *experiments.Result
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.AblationHeaderSplit()
-		if err != nil {
-			b.Fatal(err)
-		}
-		res = r
-	}
-	for _, s := range res.Series {
-		if p, ok := s.At(1 << 10); ok {
-			b.ReportMetric(p.LatencyUS(), "vus1K:"+sanitize(s.Name))
-		}
-	}
-}
-
-// BenchmarkForwarding regenerates extension X3: gateway store-and-forward
-// across heterogeneous networks versus a direct link.
-func BenchmarkForwarding(b *testing.B) {
-	var res *experiments.Result
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Forwarding()
-		if err != nil {
-			b.Fatal(err)
-		}
-		res = r
-	}
-	for _, s := range res.Series {
-		if p, ok := s.At(4); ok {
-			b.ReportMetric(p.LatencyUS(), "vus4B:"+sanitize(s.Name))
-		}
-		if p, ok := s.At(1 << 20); ok {
-			b.ReportMetric(p.BandwidthMBs(), "MB/s1M:"+sanitize(s.Name))
-		}
-	}
-}
-
-// BenchmarkHierCollectives regenerates extension X4 (flat versus
-// two-level versus ring collectives on the 2x4-rank cluster-of-clusters)
-// plus extension X5 (the multi-gateway bridged topology: routed
-// collectives, gateway-aware leaders, pipelined relay), its variant
-// (the bridged triangle: two-rail striping, adaptive re-routing, bounded
-// gateway queues), extension X6 (the per-link device mux vs the
-// uniform single-protocol transport on the mixed SCI+BIP+TCP cluster)
-// and extension X9 (multi-leader rail-striped collectives vs the
-// single-leader two-level baseline on the bridged triangle), and records
-// the sweeps to BENCH_collectives.json for the regression gate.
-func BenchmarkHierCollectives(b *testing.B) {
-	var res, gw, ad, hm, ml *experiments.Result
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.HierCollectives()
-		if err != nil {
-			b.Fatal(err)
-		}
-		res = r
-		g, err := experiments.GatewayCollectives()
-		if err != nil {
-			b.Fatal(err)
-		}
-		gw = g
-		a, err := experiments.AdaptiveMultipath()
-		if err != nil {
-			b.Fatal(err)
-		}
-		ad = a
-		h, err := experiments.HeteroMux()
-		if err != nil {
-			b.Fatal(err)
-		}
-		hm = h
-		m, err := experiments.MultiLeader()
-		if err != nil {
-			b.Fatal(err)
-		}
-		ml = m
-	}
-	all := append(append([]*stats.Series{}, res.Series...), gw.Series...)
-	all = append(all, ad.Series...)
-	all = append(all, hm.Series...)
-	all = append(all, ml.Series...)
-	for _, s := range all {
-		if p, ok := s.At(8); ok {
-			b.ReportMetric(p.LatencyUS(), "vus8B:"+sanitize(s.Name))
-		}
-		if p, ok := s.At(64 << 10); ok {
-			b.ReportMetric(p.LatencyUS(), "vus64K:"+sanitize(s.Name))
-		}
-	}
-	writeCollectivesJSON(b, res, gw, ad, hm, ml)
-}
-
-// writeCollectivesJSON records the X4 and X5 sweeps next to the benchmark
-// so the flat-vs-hierarchical and gateway-routing numbers are versioned
-// with the code.
-func writeCollectivesJSON(b *testing.B, results ...*experiments.Result) {
-	b.Helper()
-	type point struct {
-		SizeBytes int     `json:"size_bytes"`
-		VirtualUS float64 `json:"virtual_us"`
-	}
-	type series struct {
-		Name   string  `json:"name"`
-		Points []point `json:"points"`
-	}
-	out := struct {
-		Experiment string   `json:"experiment"`
-		Topology   string   `json:"topology"`
-		Series     []series `json:"series"`
-	}{
-		Experiment: "X4 hierarchical collectives + X5 multi-gateway routing + X5 variant adaptive multi-path relay" +
-			" + X6 per-link device mux + X9 multi-leader rail-striped collectives",
-		Topology: "X4: 2 SCI islands x 4 single-proc nodes, interleaved ranks, TCP backbone" +
-			" (_cap series: backbone trunk capped at the TCP rate via netsim.Params.NetworkBandwidth);" +
-			" *_gw series (X5): bridged 3-cluster topology, 2 TCP bridges, no common network" +
-			" (GwHops_* point values are gateway-relayed message counts, not microseconds);" +
-			" Relay_stripe/_single, Adapt_*, AdaptQ_* and RelayQPeakMax (X5 variant): bridged triangle" +
-			" with a third TCP side — striping vs single-path relay, adaptive re-plan vs static under a" +
-			" loaded bridge (AdaptQ_*/RelayQPeakMax point values are relay queue depths, not microseconds);" +
-			" Mux_*/Uniform_* series (X6): 2 dual-proc SCI nodes + 2 dual-proc BIP nodes on a shared TCP" +
-			" backbone — per-link device mux (chself/smp/SAN/TCP classes, per-class autotuned switch" +
-			" points) vs the uniform single-protocol ch_mad configuration (Topology.Uniform);" +
-			" ML_* series (X9): bridged triangle, autotuned sessions — ML_*_multi lets the tuner pick the" +
-			" multi-leader 2level-multi algorithms (one co-leader per distinct gateway, shards striped" +
-			" across every bridge), ML_*_single forces the single-leader two-level baseline (CollHier)",
-	}
-	for _, res := range results {
-		for _, s := range res.Series {
-			sr := series{Name: s.Name}
-			for _, p := range s.Points {
-				sr.Points = append(sr.Points, point{SizeBytes: p.Size, VirtualUS: p.LatencyUS()})
-			}
-			out.Series = append(out.Series, sr)
-		}
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_collectives.json", append(data, '\n'), 0o644); err != nil {
-		b.Logf("could not record BENCH_collectives.json: %v", err)
 	}
 }
 
@@ -452,7 +163,8 @@ func measureLoop(fn func()) (nsPerOp, bPerOp, allocsPerOp int64) {
 // to BENCH_scale.json for the benchcheck growth gate.
 func BenchmarkScaleMachine(b *testing.B) {
 	var planner []scalePlannerPoint
-	for _, shape := range []struct{ nc, per int }{{16, 16}, {64, 16}} {
+	for _, shape := range []struct{ nc, per int }{{16, experiments.ScaleRanksPer},
+		{experiments.ScaleClusters, experiments.ScaleRanksPer}} {
 		nc, per := shape.nc, shape.per
 		g := scaleRouteGraph(nc, per)
 		opts := route.Options{RefBytes: route.DefaultRefBytes, MaxPaths: 1}
@@ -494,40 +206,26 @@ func BenchmarkScaleMachine(b *testing.B) {
 // writeScaleJSON records the scale machine's planner growth samples, the
 // 1024-rank experiment's wall-clock cost and its (deterministic) simulated
 // collective sweeps next to the benchmark for the benchcheck gate. Unlike
-// BENCH_collectives.json the wall-clock and ns fields are host-dependent;
-// only their growth ratios and a generous wall-clock ceiling are gated.
+// the series, the wall-clock and ns fields are host-dependent; only their
+// growth ratios and a generous wall-clock ceiling are gated.
 func writeScaleJSON(b *testing.B, planner []scalePlannerPoint, wallMs float64, res *experiments.Result) {
 	b.Helper()
-	type point struct {
-		SizeBytes int     `json:"size_bytes"`
-		VirtualUS float64 `json:"virtual_us"`
-	}
-	type series struct {
-		Name   string  `json:"name"`
-		Points []point `json:"points"`
-	}
 	out := struct {
-		Experiment string              `json:"experiment"`
-		Topology   string              `json:"topology"`
-		Planner    []scalePlannerPoint `json:"planner"`
-		RunRanks   int                 `json:"run_ranks"`
-		RunWallMs  float64             `json:"run_wall_ms"`
-		Series     []series            `json:"series"`
+		Experiment string                    `json:"experiment"`
+		Topology   string                    `json:"topology"`
+		Planner    []scalePlannerPoint       `json:"planner"`
+		RunRanks   int                       `json:"run_ranks"`
+		RunWallMs  float64                   `json:"run_wall_ms"`
+		Series     []experiments.BenchSeries `json:"series"`
 	}{
 		Experiment: "X8 scale: hierarchical routing + scheduler hot paths at 1024 ranks",
 		Topology: "64 SCI islands x 16 ranks (1024 ranks), one gateway per island on a" +
 			" trunk-capped TCP backbone; planner growth sampled at 256 and 1024 ranks" +
 			" on the same shape (workload = construction + bloc/leader resolution sweep)",
 		Planner:   planner,
-		RunRanks:  scaleRanks(res),
+		RunRanks:  experiments.ScaleClusters * experiments.ScaleRanksPer,
 		RunWallMs: wallMs,
-	}
-	for _, s := range res.Series {
-		sr := series{Name: s.Name}
-		for _, p := range s.Points {
-			sr.Points = append(sr.Points, point{SizeBytes: p.Size, VirtualUS: p.LatencyUS()})
-		}
-		out.Series = append(out.Series, sr)
+		Series:    res.Bench(),
 	}
 	data, err := json.MarshalIndent(out, "", "  ")
 	if err != nil {
@@ -535,29 +233,5 @@ func writeScaleJSON(b *testing.B, planner []scalePlannerPoint, wallMs float64, r
 	}
 	if err := os.WriteFile("BENCH_scale.json", append(data, '\n'), 0o644); err != nil {
 		b.Logf("could not record BENCH_scale.json: %v", err)
-	}
-}
-
-// scaleRanks parses the rank count out of the scale result title
-// ("Scale: N-rank machine ..."), falling back to 1024.
-func scaleRanks(res *experiments.Result) int {
-	var n int
-	if _, err := fmt.Sscanf(res.Title, "Scale: %d-rank", &n); err != nil || n <= 0 {
-		return 1024
-	}
-	return n
-}
-
-// BenchmarkBaselineModels exercises the reference-model evaluation (cheap,
-// but keeps the comparator curves regenerable from the bench harness too).
-func BenchmarkBaselineModels(b *testing.B) {
-	sizes := stats.Sizes1B1MB()
-	models := []*baselines.ReferenceModel{
-		baselines.ScaMPI(), baselines.SCIMPICH(), baselines.MPIGM(), baselines.MPICHPM(),
-	}
-	for i := 0; i < b.N; i++ {
-		for _, m := range models {
-			m.Series(sizes)
-		}
 	}
 }

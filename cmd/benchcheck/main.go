@@ -1,19 +1,21 @@
-// Command benchcheck is the CI bench-regression gate: it reads the
-// regenerated BENCH_collectives.json (written by BenchmarkHierCollectives)
-// and fails if the hierarchy-aware algorithms stop beating their flat
-// counterparts on simulated time where they are supposed to — most
-// importantly, if Allreduce_2level loses to Allreduce_flat at large
-// message sizes on the contended-backbone 2x4 heterogeneous topology —
-// or if the multi-path transport loses its striping/adaptive wins on the
-// bridged triangle, or any gateway queue exceeds its credit window, or
-// the per-link device mux stops beating the uniform single-protocol
-// transport on the mixed SCI+BIP+TCP cluster, or the multi-leader
-// rail-striped collectives lose their 1.5x aggregate-bandwidth win over
-// the single-leader two-level forms at 1 MiB on the bridged triangle.
+// Command benchcheck is the CI bench-regression gate: it reads
+// BENCH_collectives.json (regenerated by
+// `go test ./internal/experiments -run TestAllRegeneratesEveryArtifact -update-artifacts`,
+// which also pins it byte for byte) and fails if the hierarchy-aware
+// algorithms stop beating their flat counterparts on simulated time where
+// they are supposed to — most importantly, if Allreduce_2level loses to
+// Allreduce_flat at large message sizes on the contended-backbone 2x4
+// heterogeneous topology — or if the multi-path transport loses its
+// striping/adaptive wins on the bridged triangle, or any gateway queue
+// exceeds its credit window, or the per-link device mux stops beating the
+// uniform single-protocol transport on the mixed SCI+BIP+TCP cluster, or
+// the multi-leader rail-striped collectives lose their 1.5x
+// aggregate-bandwidth win over the single-leader two-level forms at 1 MiB
+// on the bridged triangle.
 //
 // Every failure prints the expected relation, the actual values and the
 // margin by which the rule missed, so a regression can be triaged from
-// the CI log alone.
+// the CI log alone. Failures are reported in ascending size order.
 //
 // It also reads BENCH_scale.json (written by BenchmarkScaleMachine) and
 // gates the 1000+-rank scaling story: the routing planner's cost growth
@@ -23,41 +25,21 @@
 // wall-clock ceiling — the regression alarms for the hierarchical
 // routing and lazy-resolution hot paths.
 //
-// With -scaleseed it additionally compares the regenerated scale file's
-// simulated series against a seed snapshot (the committed BENCH_scale.json
-// of the base revision): every virtual time must stay within 2% of the
-// seed. The simulation is deterministic, so any drift at all means the
-// change perturbed transport behavior — the gate CI uses to prove that
-// disabled tracing costs nothing on the scale machine.
-//
 // Usage:
 //
 //	benchcheck [-f BENCH_collectives.json] [-scale BENCH_scale.json]
-//	           [-scaleseed BENCH_scale_seed.json]
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"maps"
 	"os"
+	"slices"
+
+	"mpichmad/internal/experiments"
 )
-
-type point struct {
-	SizeBytes int     `json:"size_bytes"`
-	VirtualUS float64 `json:"virtual_us"`
-}
-
-type series struct {
-	Name   string  `json:"name"`
-	Points []point `json:"points"`
-}
-
-type benchFile struct {
-	Experiment string   `json:"experiment"`
-	Topology   string   `json:"topology"`
-	Series     []series `json:"series"`
-}
 
 // rule asserts that the challenger series beats the incumbent at every
 // recorded size >= minSize: incumbent > challenger x minRatio. minRatio
@@ -89,12 +71,28 @@ type scalePlanner struct {
 }
 
 type scaleFile struct {
-	Experiment string         `json:"experiment"`
-	Planner    []scalePlanner `json:"planner"`
-	RunRanks   int            `json:"run_ranks"`
-	RunWallMs  float64        `json:"run_wall_ms"`
-	Series     []series       `json:"series"`
+	Experiment string                    `json:"experiment"`
+	Planner    []scalePlanner            `json:"planner"`
+	RunRanks   int                       `json:"run_ranks"`
+	RunWallMs  float64                   `json:"run_wall_ms"`
+	Series     []experiments.BenchSeries `json:"series"`
 }
+
+// bySize indexes series points by name, then size.
+func bySize(series []experiments.BenchSeries) map[string]map[int]float64 {
+	out := make(map[string]map[int]float64)
+	for _, s := range series {
+		m := make(map[int]float64)
+		for _, p := range s.Points {
+			m[p.SizeBytes] = p.VirtualUS
+		}
+		out[s.Name] = m
+	}
+	return out
+}
+
+// sizes returns a series' sizes in ascending order.
+func sizes(m map[int]float64) []int { return slices.Sorted(maps.Keys(m)) }
 
 // Scale-gate bounds. Rank count grows 4x between the two planner samples,
 // so a quadratic planner would grow 16x; the growth rules keep every
@@ -171,104 +169,34 @@ func checkScale(file string) int {
 	// The simulated sweeps are deterministic: both collectives must have
 	// rendered non-trivial times, and Bcast must stay cheaper than
 	// Allreduce at every common size (it moves half the traffic).
-	bySeries := make(map[string]map[int]float64)
 	for _, s := range sf.Series {
-		m := make(map[int]float64)
 		for _, p := range s.Points {
 			if p.VirtualUS <= 0 {
 				fail("%s: series %s has a non-positive simulated time at %d B", file, s.Name, p.SizeBytes)
 			}
-			m[p.SizeBytes] = p.VirtualUS
 		}
-		bySeries[s.Name] = m
 	}
+	bySeries := bySize(sf.Series)
 	ar, okA := bySeries["Allreduce"]
 	bc, okB := bySeries["Bcast"]
 	if !okA || !okB {
 		fail("%s: want Allreduce and Bcast series, got %d series", file, len(sf.Series))
-	} else {
-		for size, a := range ar {
-			if b, ok := bc[size]; ok && b >= a {
-				fail("Bcast (%.1f us) is not cheaper than Allreduce (%.1f us) at %d B on the scale machine",
-					b, a, size)
-			}
-		}
-	}
-	return failed
-}
-
-// scaleSeedTolerance bounds how far the regenerated scale series may
-// drift from the seed snapshot: 2%. Virtual times are deterministic, so
-// the expected drift is exactly zero; the headroom only absorbs a seed
-// captured before an intentional, reviewed cost-model change.
-const scaleSeedTolerance = 0.02
-
-// checkScaleSeed compares the regenerated scale file's simulated series
-// point-by-point against the seed snapshot; returns the number of failed
-// comparisons.
-func checkScaleSeed(file, seedFile string) int {
-	load := func(name string) (*scaleFile, error) {
-		data, err := os.ReadFile(name)
-		if err != nil {
-			return nil, err
-		}
-		var sf scaleFile
-		if err := json.Unmarshal(data, &sf); err != nil {
-			return nil, fmt.Errorf("%s: %w", name, err)
-		}
-		return &sf, nil
-	}
-	cur, err := load(file)
-	if err != nil {
-		fatal(err)
-	}
-	seed, err := load(seedFile)
-	if err != nil {
-		fatal(err)
-	}
-	failed := 0
-	fail := func(format string, args ...interface{}) {
-		fmt.Fprintf(os.Stderr, "benchcheck: FAIL: "+format+"\n", args...)
-		failed++
-	}
-	curBy := make(map[string]map[int]float64)
-	for _, s := range cur.Series {
-		m := make(map[int]float64)
-		for _, p := range s.Points {
-			m[p.SizeBytes] = p.VirtualUS
-		}
-		curBy[s.Name] = m
+		return failed
 	}
 	checked := 0
-	for _, s := range seed.Series {
-		m, ok := curBy[s.Name]
+	for _, size := range sizes(ar) {
+		b, ok := bc[size]
 		if !ok {
-			fail("series %q present in seed %s but missing from %s", s.Name, seedFile, file)
 			continue
 		}
-		for _, p := range s.Points {
-			got, ok := m[p.SizeBytes]
-			if !ok {
-				fail("series %s lost its %d B point relative to seed %s", s.Name, p.SizeBytes, seedFile)
-				continue
-			}
-			checked++
-			if p.VirtualUS <= 0 {
-				continue
-			}
-			drift := (got - p.VirtualUS) / p.VirtualUS
-			if drift < 0 {
-				drift = -drift
-			}
-			if drift > scaleSeedTolerance {
-				fail("series %s at %d B drifted %.2f%% from the seed (%.1f us -> %.1f us, bound %.0f%%) — "+
-					"simulated time is deterministic, so the change perturbed the transport itself",
-					s.Name, p.SizeBytes, drift*100, p.VirtualUS, got, scaleSeedTolerance*100)
-			}
+		checked++
+		if a := ar[size]; b >= a {
+			fail("Bcast (%.1f us) is not cheaper than Allreduce (%.1f us) at %d B on the scale machine",
+				b, a, size)
 		}
 	}
 	if checked == 0 {
-		fail("no common scale series points between %s and seed %s", file, seedFile)
+		fail("%s: no common sizes for Bcast vs Allreduce", file)
 	}
 	return failed
 }
@@ -276,25 +204,19 @@ func checkScaleSeed(file, seedFile string) int {
 func main() {
 	file := flag.String("f", "BENCH_collectives.json", "bench series file to check")
 	scaleF := flag.String("scale", "BENCH_scale.json", "scale bench file to check (\"\" to skip)")
-	scaleSeed := flag.String("scaleseed", "", "seed BENCH_scale.json snapshot to diff the regenerated scale series against (\"\" to skip)")
 	flag.Parse()
 
 	data, err := os.ReadFile(*file)
 	if err != nil {
 		fatal(err)
 	}
-	var bf benchFile
+	var bf struct {
+		Series []experiments.BenchSeries `json:"series"`
+	}
 	if err := json.Unmarshal(data, &bf); err != nil {
 		fatal(fmt.Errorf("%s: %w", *file, err))
 	}
-	byName := make(map[string]map[int]float64)
-	for _, s := range bf.Series {
-		m := make(map[int]float64)
-		for _, p := range s.Points {
-			m[p.SizeBytes] = p.VirtualUS
-		}
-		byName[s.Name] = m
-	}
+	byName := bySize(bf.Series)
 
 	rules := []rule{
 		{"Allreduce_2level_cap", "Allreduce_flat_cap", 64 << 10, 0,
@@ -358,7 +280,8 @@ func main() {
 			continue
 		}
 		checked := 0
-		for size, incUS := range inc {
+		for _, size := range sizes(inc) {
+			incUS := inc[size]
 			if size < r.minSize {
 				continue
 			}
@@ -405,7 +328,8 @@ func main() {
 			continue
 		}
 		checked := 0
-		for size, v := range s {
+		for _, size := range sizes(s) {
+			v := s[size]
 			max, ok := bound[size]
 			if !ok {
 				continue
@@ -428,9 +352,6 @@ func main() {
 	scaleFailed := 0
 	if *scaleF != "" {
 		scaleFailed = checkScale(*scaleF)
-		if *scaleSeed != "" {
-			scaleFailed += checkScaleSeed(*scaleF, *scaleSeed)
-		}
 	}
 	if failed+scaleFailed > 0 {
 		os.Exit(1)
@@ -438,9 +359,6 @@ func main() {
 	fmt.Printf("benchcheck: %d rules and %d caps hold on %s\n", len(rules), len(caps), *file)
 	if *scaleF != "" {
 		fmt.Printf("benchcheck: scale growth, wall-clock and collective gates hold on %s\n", *scaleF)
-	}
-	if *scaleF != "" && *scaleSeed != "" {
-		fmt.Printf("benchcheck: scale series within %.0f%% of seed %s\n", scaleSeedTolerance*100, *scaleSeed)
 	}
 }
 

@@ -3,7 +3,7 @@
 // for intra-process, smp_plug for intra-node, ch_mad over Madeleine
 // channels for inter-node — and launches rank programs, reproducing the
 // paper's Fig. 3 software organization. It is the substitute for real
-// cluster-of-clusters hardware and mpirun (see DESIGN.md §2).
+// cluster-of-clusters hardware and mpirun (see README.md).
 package cluster
 
 import (

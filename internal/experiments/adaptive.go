@@ -47,7 +47,7 @@ const adaptiveRelayWindow = 16
 // stripePingPong measures the one-way 0<->8 transfer time on the
 // triangle and the deepest gateway queue the session saw. maxPaths: 1 is
 // the single-path pipelined baseline, 2 the striped transport.
-func stripePingPong(size, maxPaths int) (oneWay vtime.Duration, qPeak int, err error) {
+func stripePingPong(size, maxPaths int) (vtime.Duration, int, error) {
 	topo := triangleTopo()
 	topo.MaxPaths = maxPaths
 	topo.RelayWindow = adaptiveRelayWindow
@@ -55,42 +55,15 @@ func stripePingPong(size, maxPaths int) (oneWay vtime.Duration, qPeak int, err e
 	if err != nil {
 		return 0, 0, err
 	}
-	err = sess.Run(func(rank int, comm *mpi.Comm) error {
-		buf := make([]byte, size)
-		const iters = 2
-		switch rank {
-		case 0:
-			start := sess.S.Now()
-			for i := 0; i < iters; i++ {
-				if err := comm.Send(buf, size, mpi.Byte, 8, 1); err != nil {
-					return err
-				}
-				if _, err := comm.Recv(buf, size, mpi.Byte, 8, 1); err != nil {
-					return err
-				}
-			}
-			oneWay = sess.S.Now().Sub(start) / (2 * iters)
-		case 8:
-			for i := 0; i < iters; i++ {
-				if _, err := comm.Recv(buf, size, mpi.Byte, 0, 1); err != nil {
-					return err
-				}
-				if err := comm.Send(buf, size, mpi.Byte, 0, 1); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	})
+	pp, err := pingPong(sess, 0, 8, size)
 	if err != nil {
 		return 0, 0, err
 	}
+	qPeak := 0
 	for _, rs := range sess.RelayStats() {
-		if rs.QueuePeak > qPeak {
-			qPeak = rs.QueuePeak
-		}
+		qPeak = max(qPeak, rs.QueuePeak)
 	}
-	return oneWay, qPeak, nil
+	return pp.Points[0].OneWay, qPeak, nil
 }
 
 // adaptiveRun measures one loaded transfer: rank 2 launches an in-flight

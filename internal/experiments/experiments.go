@@ -15,7 +15,6 @@ import (
 	"mpichmad/internal/mpptest"
 	"mpichmad/internal/netsim"
 	"mpichmad/internal/stats"
-	"mpichmad/internal/vtime"
 )
 
 // Result is one regenerated artifact: rendered text plus the raw series
@@ -25,6 +24,43 @@ type Result struct {
 	Title  string
 	Text   string
 	Series []*stats.Series
+	// metric is the point value the text tabulates the series in:
+	// transfer time or bandwidth. CSV emits the same one.
+	metric func(stats.Point) float64
+}
+
+// CSV renders the series as comma-separated values, in the unit the
+// text tabulates them in, behind a "# title (id)" comment line.
+func (r *Result) CSV() string {
+	return fmt.Sprintf("# %s (%s)\n", r.Title, r.ID) + stats.CSV(r.Series, r.metric)
+}
+
+// BenchSeries is one series in the schema of the BENCH_*.json files:
+// its name and its points in virtual microseconds. Point values of
+// count-valued series (gateway hops, queue depths) are encoded one unit
+// per microsecond. cmd/benchcheck reads the same schema.
+type BenchSeries struct {
+	Name   string       `json:"name"`
+	Points []BenchPoint `json:"points"`
+}
+
+// BenchPoint is one size of a BenchSeries.
+type BenchPoint struct {
+	SizeBytes int     `json:"size_bytes"`
+	VirtualUS float64 `json:"virtual_us"`
+}
+
+// Bench returns the result's series in the BENCH_*.json schema.
+func (r *Result) Bench() []BenchSeries {
+	out := make([]BenchSeries, 0, len(r.Series))
+	for _, s := range r.Series {
+		bs := BenchSeries{Name: s.Name}
+		for _, p := range s.Points {
+			bs.Points = append(bs.Points, BenchPoint{SizeBytes: p.Size, VirtualUS: p.LatencyUS()})
+		}
+		out = append(out, bs)
+	}
+	return out
 }
 
 // protoTopo returns the mono-protocol two-node ch_mad topology used for
@@ -79,6 +115,15 @@ func Table1() (*Result, error) {
 	return &Result{ID: "table1", Title: "Table 1", Text: b.String()}, nil
 }
 
+// figSizes is the x-axis of a figure's part: 'a' is the transfer-time
+// sweep (1 B–1 KB), 'b' the bandwidth sweep (1 B–1 MB).
+func figSizes(part byte) []int {
+	if part == 'b' {
+		return stats.Sizes1B1MB()
+	}
+	return stats.Sizes1B1KB()
+}
+
 // figSweep measures ch_mad and raw Madeleine over a size sweep on one
 // protocol and appends the given reference models.
 func figSweep(protocol string, sizes []int, refs ...*baselines.ReferenceModel) ([]*stats.Series, error) {
@@ -102,10 +147,7 @@ func figSweep(protocol string, sizes []int, refs ...*baselines.ReferenceModel) (
 // TCP/Fast-Ethernet. part is 'a' (transfer time, 1 B–1 KB) or 'b'
 // (bandwidth, 1 B–1 MB).
 func Fig6(part byte) (*Result, error) {
-	sizes := stats.Sizes1B1KB()
-	if part == 'b' {
-		sizes = stats.Sizes1B1MB()
-	}
+	sizes := figSizes(part)
 	chmad, err := mpptest.MPIPingPong("ch_mad", protoTopo("tcp"), sizes, mpptest.Config{})
 	if err != nil {
 		return nil, err
@@ -127,10 +169,7 @@ func Fig6(part byte) (*Result, error) {
 // Fig7 regenerates Figure 7: ch_mad vs ScaMPI vs SCI-MPICH vs raw
 // Madeleine on SISCI/SCI.
 func Fig7(part byte) (*Result, error) {
-	sizes := stats.Sizes1B1KB()
-	if part == 'b' {
-		sizes = stats.Sizes1B1MB()
-	}
+	sizes := figSizes(part)
 	series, err := figSweep("sisci", sizes, baselines.ScaMPI(), baselines.SCIMPICH())
 	if err != nil {
 		return nil, err
@@ -141,10 +180,7 @@ func Fig7(part byte) (*Result, error) {
 // Fig8 regenerates Figure 8: ch_mad vs MPI-GM vs MPICH-PM vs raw
 // Madeleine on BIP/Myrinet.
 func Fig8(part byte) (*Result, error) {
-	sizes := stats.Sizes1B1KB()
-	if part == 'b' {
-		sizes = stats.Sizes1B1MB()
-	}
+	sizes := figSizes(part)
 	series, err := figSweep("bip", sizes, baselines.MPIGM(), baselines.MPICHPM())
 	if err != nil {
 		return nil, err
@@ -155,10 +191,7 @@ func Fig8(part byte) (*Result, error) {
 // Fig9 regenerates Figure 9: SCI performance with the SCI polling thread
 // alone versus with an additional (idle) TCP polling thread.
 func Fig9(part byte) (*Result, error) {
-	sizes := stats.Sizes1B1KB()
-	if part == 'b' {
-		sizes = stats.Sizes1B1MB()
-	}
+	sizes := figSizes(part)
 	alone, err := mpptest.MPIPingPong("SCI_thread_only", protoTopo("sisci"), sizes, mpptest.Config{})
 	if err != nil {
 		return nil, err
@@ -272,51 +305,19 @@ func Forwarding() (*Result, error) {
 		},
 		Forwarding: true,
 	}
-	// Ping-pong between ranks 0 and 2 (through the gateway): reuse the
-	// MPI harness via a custom runner.
-	series := &stats.Series{Name: "SCI->gw->Myrinet"}
 	sess, err := cluster.Build(topo)
 	if err != nil {
 		return nil, err
 	}
-	err = sess.Run(func(rank int, comm *mpi.Comm) error {
-		if rank == 1 {
-			return nil // gateway: forwarding only
-		}
-		peer := 2 - rank // 0 <-> 2
-		for _, size := range sizes {
-			buf := make([]byte, size)
-			if rank == 0 {
-				start := sess.S.Now()
-				const iters = 2
-				for i := 0; i < iters; i++ {
-					if err := comm.Send(buf, size, mpi.Byte, peer, 1); err != nil {
-						return err
-					}
-					if _, err := comm.Recv(buf, size, mpi.Byte, peer, 1); err != nil {
-						return err
-					}
-				}
-				series.Add(size, sess.S.Now().Sub(start)/vtime.Duration(2*2))
-			} else {
-				for i := 0; i < 2; i++ {
-					if _, err := comm.Recv(buf, size, mpi.Byte, peer, 1); err != nil {
-						return err
-					}
-					if err := comm.Send(buf, size, mpi.Byte, peer, 1); err != nil {
-						return err
-					}
-				}
-			}
-		}
-		return nil
-	})
+	// Rank 1 is the gateway: it only forwards.
+	fwd, err := pingPong(sess, 0, 2, sizes...)
 	if err != nil {
 		return nil, err
 	}
+	fwd.Name = "SCI->gw->Myrinet"
 	return render("forwarding",
 		"Extension X3: heterogeneous forwarding through a gateway node (§6 future work)",
-		'a', []*stats.Series{direct, series}), nil
+		'a', []*stats.Series{direct, fwd}), nil
 }
 
 // HierCollectives (X4) compares the flat (topology-blind), two-level
@@ -354,32 +355,12 @@ func HierCollectives() (*Result, error) {
 	sizes := []int{8, 256, 4 << 10, 64 << 10, 256 << 10}
 	topo := hierTopo()
 	capped := hierTopoCapped()
-	type bench struct {
+	benches := []struct {
 		name string
 		topo cluster.Topology
 		mode mpi.CollMode
-		op   func(comm *mpi.Comm, size int) error
-	}
-	bcast := func(comm *mpi.Comm, size int) error {
-		buf := make([]byte, size)
-		return comm.Bcast(buf, size, mpi.Byte, 0)
-	}
-	allreduce := func(comm *mpi.Comm, size int) error {
-		buf := make([]byte, size)
-		out := make([]byte, size)
-		return comm.Allreduce(buf, out, size, mpi.Byte, mpi.OpMax)
-	}
-	allgather := func(comm *mpi.Comm, size int) error {
-		buf := make([]byte, size)
-		big := make([]byte, size*comm.Size())
-		return comm.Allgather(buf, big, size, mpi.Byte)
-	}
-	alltoall := func(comm *mpi.Comm, size int) error {
-		send := make([]byte, size*comm.Size())
-		recv := make([]byte, size*comm.Size())
-		return comm.Alltoall(send, recv, size, mpi.Byte)
-	}
-	benches := []bench{
+		op   collOp
+	}{
 		{"Bcast_flat", topo, mpi.CollFlat, bcast},
 		{"Bcast_2level", topo, mpi.CollHier, bcast},
 		{"Allreduce_flat", topo, mpi.CollFlat, allreduce},
@@ -397,7 +378,7 @@ func HierCollectives() (*Result, error) {
 		{"Alltoall_flat_cap", capped, mpi.CollFlat, alltoall},
 		{"Alltoall_2level_cap", capped, mpi.CollHier, alltoall},
 	}
-	perOpTime := make(map[string]map[int]vtime.Duration)
+	const iters = 3
 	type contention struct {
 		name      string
 		queueMS   float64
@@ -405,37 +386,14 @@ func HierCollectives() (*Result, error) {
 	}
 	var contentions []contention
 	var series []*stats.Series
+	blocking := make(map[string]*stats.Series)
 	for _, bm := range benches {
 		s := &stats.Series{Name: bm.name}
-		perOpTime[bm.name] = make(map[int]vtime.Duration)
 		for _, size := range sizes {
-			sess, err := cluster.Build(bm.topo)
+			perOp, sess, err := window{topo: bm.topo, mode: bm.mode, iters: iters, size: size, op: bm.op}.run()
 			if err != nil {
 				return nil, err
 			}
-			for _, rk := range sess.Ranks {
-				rk.MPI.SetCollMode(bm.mode)
-			}
-			size := size
-			op := bm.op
-			var perOp vtime.Duration
-			err = sess.Run(func(rank int, comm *mpi.Comm) error {
-				const iters = 3
-				start := sess.S.Now()
-				for i := 0; i < iters; i++ {
-					if err := op(comm, size); err != nil {
-						return err
-					}
-				}
-				if rank == 0 {
-					perOp = sess.S.Now().Sub(start) / iters
-				}
-				return nil
-			})
-			if err != nil {
-				return nil, err
-			}
-			perOpTime[bm.name][size] = perOp
 			s.Add(size, perOp)
 			if size == sizes[len(sizes)-1] {
 				if st := sess.Networks["wan"].Stats; st.TrunkQueueDelay > 0 || st.TrunkPeak > 0 {
@@ -447,72 +405,47 @@ func HierCollectives() (*Result, error) {
 				}
 			}
 		}
+		blocking[bm.name] = s
 		series = append(series, s)
 	}
 
 	// Nonblocking overlap: exposed communication time of the two-level
 	// Allreduce and Alltoall when computation fills the collective's
 	// blocking duration.
-	type ovlBench struct {
-		name string
-		base string
-		op   func(comm *mpi.Comm, size int) (*mpi.CollRequest, error)
-	}
-	ovls := []ovlBench{
+	ovls := []struct {
+		name  string
+		base  string
+		start func(comm *mpi.Comm, size int) (*mpi.CollRequest, error)
+	}{
 		{"Allreduce_2level_ovl", "Allreduce_2level", func(comm *mpi.Comm, size int) (*mpi.CollRequest, error) {
-			buf := make([]byte, size)
-			out := make([]byte, size)
-			return comm.Iallreduce(buf, out, size, mpi.Byte, mpi.OpMax)
+			return comm.Iallreduce(make([]byte, size), make([]byte, size), size, mpi.Byte, mpi.OpMax)
 		}},
 		{"Alltoall_2level_ovl", "Alltoall_2level", func(comm *mpi.Comm, size int) (*mpi.CollRequest, error) {
-			send := make([]byte, size*comm.Size())
-			recv := make([]byte, size*comm.Size())
-			return comm.Ialltoall(send, recv, size, mpi.Byte)
+			n := size * comm.Size()
+			return comm.Ialltoall(make([]byte, n), make([]byte, n), size, mpi.Byte)
 		}},
 	}
 	for _, ob := range ovls {
 		s := &stats.Series{Name: ob.name}
 		for _, size := range sizes {
-			sess, err := cluster.Build(topo)
-			if err != nil {
-				return nil, err
-			}
-			for _, rk := range sess.Ranks {
-				rk.MPI.SetCollMode(mpi.CollHier)
-			}
-			size := size
-			start := ob.op
-			compute := perOpTime[ob.base][size]
-			var exposed vtime.Duration
-			err = sess.Run(func(rank int, comm *mpi.Comm) error {
-				const iters = 3
+			base, _ := blocking[ob.base].At(size)
+			compute := base.OneWay
+			overlapped := func(rk *cluster.Rank, comm *mpi.Comm, size int) error {
 				const chunks = 64
-				t0 := sess.S.Now()
-				for i := 0; i < iters; i++ {
-					req, err := start(comm, size)
-					if err != nil {
-						return err
-					}
-					for k := 0; k < chunks; k++ {
-						sess.Ranks[rank].Proc.Compute(compute / chunks)
-					}
-					if err := req.Wait(); err != nil {
-						return err
-					}
+				req, err := ob.start(comm, size)
+				if err != nil {
+					return err
 				}
-				if rank == 0 {
-					per := sess.S.Now().Sub(t0) / iters
-					exposed = per - compute
-					if exposed < 0 {
-						exposed = 0
-					}
+				for k := 0; k < chunks; k++ {
+					rk.Proc.Compute(compute / chunks)
 				}
-				return nil
-			})
+				return req.Wait()
+			}
+			perIter, _, err := window{topo: topo, mode: mpi.CollHier, iters: iters, size: size, op: overlapped}.run()
 			if err != nil {
 				return nil, err
 			}
-			s.Add(size, exposed)
+			s.Add(size, max(perIter-compute, 0))
 		}
 		series = append(series, s)
 	}
@@ -601,43 +534,63 @@ func hierTopo() cluster.Topology {
 	}
 }
 
+// render tabulates series as transfer time (part 'a') or bandwidth
+// (part 'b'), the paper's two figure halves.
 func render(id, title string, part byte, series []*stats.Series) *Result {
-	var text string
-	if part == 'a' {
-		text = stats.Table(title+" — transfer time", "us", series, stats.Point.LatencyUS)
-	} else {
-		text = stats.Table(title+" — bandwidth", "MB/s", series, stats.Point.BandwidthMBs)
+	header, unit, metric := " — transfer time", "us", stats.Point.LatencyUS
+	if part != 'a' {
+		header, unit, metric = " — bandwidth", "MB/s", stats.Point.BandwidthMBs
 	}
-	return &Result{ID: id, Title: title, Text: text, Series: series}
+	return &Result{ID: id, Title: title, Text: stats.Table(title+header, unit, series, metric),
+		Series: series, metric: metric}
+}
+
+// half binds a two-part figure generator to one of its parts.
+func half(fig func(part byte) (*Result, error), part byte) func() (*Result, error) {
+	return func() (*Result, error) { return fig(part) }
+}
+
+// artifacts is every experiment in paper order: the id that selects it
+// and the generator that regenerates it. All and ByID both read it.
+var artifacts = []struct {
+	id  string
+	run func() (*Result, error)
+}{
+	{"table1", Table1},
+	{"fig6a", half(Fig6, 'a')},
+	{"fig6b", half(Fig6, 'b')},
+	{"fig7a", half(Fig7, 'a')},
+	{"fig7b", half(Fig7, 'b')},
+	{"fig8a", half(Fig8, 'a')},
+	{"fig8b", half(Fig8, 'b')},
+	{"fig9a", half(Fig9, 'a')},
+	{"fig9b", half(Fig9, 'b')},
+	{"table2", Table2},
+	{"ablation-switch", AblationSwitchPoint},
+	{"ablation-split", AblationHeaderSplit},
+	{"forwarding", Forwarding},
+	{"hcoll", HierCollectives},
+	{"gateway", GatewayCollectives},
+	{"adaptive", AdaptiveMultipath},
+	{"heteromux", HeteroMux},
+	{"multileader", MultiLeader},
+	{"scale", Scale},
+}
+
+// IDs lists every experiment id in paper order.
+func IDs() []string {
+	ids := make([]string, len(artifacts))
+	for i, a := range artifacts {
+		ids[i] = a.id
+	}
+	return ids
 }
 
 // All runs every experiment in paper order.
 func All() ([]*Result, error) {
 	var out []*Result
-	type gen func() (*Result, error)
-	gens := []gen{
-		Table1,
-		func() (*Result, error) { return Fig6('a') },
-		func() (*Result, error) { return Fig6('b') },
-		func() (*Result, error) { return Fig7('a') },
-		func() (*Result, error) { return Fig7('b') },
-		func() (*Result, error) { return Fig8('a') },
-		func() (*Result, error) { return Fig8('b') },
-		func() (*Result, error) { return Fig9('a') },
-		func() (*Result, error) { return Fig9('b') },
-		Table2,
-		AblationSwitchPoint,
-		AblationHeaderSplit,
-		Forwarding,
-		HierCollectives,
-		GatewayCollectives,
-		AdaptiveMultipath,
-		HeteroMux,
-		MultiLeader,
-		Scale,
-	}
-	for _, g := range gens {
-		r, err := g()
+	for _, a := range artifacts {
+		r, err := a.run()
 		if err != nil {
 			return out, err
 		}
@@ -648,45 +601,10 @@ func All() ([]*Result, error) {
 
 // ByID runs one experiment by its id (e.g. "fig7b").
 func ByID(id string) (*Result, error) {
-	switch id {
-	case "table1":
-		return Table1()
-	case "fig6a":
-		return Fig6('a')
-	case "fig6b":
-		return Fig6('b')
-	case "fig7a":
-		return Fig7('a')
-	case "fig7b":
-		return Fig7('b')
-	case "fig8a":
-		return Fig8('a')
-	case "fig8b":
-		return Fig8('b')
-	case "fig9a":
-		return Fig9('a')
-	case "fig9b":
-		return Fig9('b')
-	case "table2":
-		return Table2()
-	case "ablation-switch":
-		return AblationSwitchPoint()
-	case "ablation-split":
-		return AblationHeaderSplit()
-	case "forwarding":
-		return Forwarding()
-	case "hcoll":
-		return HierCollectives()
-	case "gateway":
-		return GatewayCollectives()
-	case "adaptive":
-		return AdaptiveMultipath()
-	case "heteromux":
-		return HeteroMux()
-	case "multileader":
-		return MultiLeader()
-	case "scale":
-		return Scale()
+	for _, a := range artifacts {
+		if a.id == id {
+			return a.run()
+		}
 	}
-	return nil, fmt.Errorf("experiments: unknown id %q (see DESIGN.md experiment index)", id)
+	return nil, fmt.Errorf("experiments: unknown id %q (known: %s)", id, strings.Join(IDs(), ", "))
 }

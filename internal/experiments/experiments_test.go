@@ -3,21 +3,64 @@ package experiments
 // These tests assert the *shape* claims of the paper's evaluation — who
 // wins, by roughly what factor, where crossovers fall — on the regenerated
 // data. Absolute calibration is asserted in the madeleine (Table 1) and
-// core (Table 2) packages.
+// core (Table 2) packages. Every test reads one shared All() pass, so
+// running any one of them regenerates the whole suite once.
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
+	"reflect"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"mpichmad/internal/stats"
 )
 
-var updateArtifacts = flag.Bool("update-artifacts", false, "rewrite testdata/artifacts.golden")
+var updateArtifacts = flag.Bool("update-artifacts", false,
+	"rewrite testdata/artifacts.golden and BENCH_collectives.json from the regenerated results")
 
-const artifactsGolden = "testdata/artifacts.golden"
+// The files the regenerated results are pinned to: every artifact's text,
+// the collective experiments' series (cmd/benchcheck's input), and the
+// scale machine's series (BenchmarkScaleMachine writes that file; only
+// its series are deterministic).
+const (
+	artifactsGolden  = "testdata/artifacts.golden"
+	benchCollectives = "../../BENCH_collectives.json"
+	benchScale       = "../../BENCH_scale.json"
+)
+
+// firstPass is the one All() run every test of the package reads.
+var firstPass struct {
+	once    sync.Once
+	results []*Result
+	err     error
+}
+
+func allResults(t *testing.T) []*Result {
+	t.Helper()
+	firstPass.once.Do(func() { firstPass.results, firstPass.err = All() })
+	if firstPass.err != nil {
+		t.Fatal(firstPass.err)
+	}
+	return firstPass.results
+}
+
+// artifact returns the first pass's result for id.
+func artifact(t *testing.T, id string) *Result {
+	t.Helper()
+	for _, r := range allResults(t) {
+		if r.ID == id {
+			return r
+		}
+	}
+	t.Fatalf("All produced no %q artifact", id)
+	return nil
+}
 
 func get(t *testing.T, s *stats.Series, size int) stats.Point {
 	t.Helper()
@@ -40,10 +83,7 @@ func byName(t *testing.T, series []*stats.Series, name string) *stats.Series {
 }
 
 func TestFig6Shape(t *testing.T) {
-	a, err := Fig6('a')
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := artifact(t, "fig6a")
 	chmad, chp4 := byName(t, a.Series, "ch_mad"), byName(t, a.Series, "ch_p4")
 	raw := byName(t, a.Series, "raw_Madeleine")
 	// §5.2: ch_mad beats ch_p4 up to 256 B; raw is below both.
@@ -56,10 +96,7 @@ func TestFig6Shape(t *testing.T) {
 		}
 	}
 
-	b, err := Fig6('b')
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := artifact(t, "fig6b")
 	chmadB, chp4B := byName(t, b.Series, "ch_mad"), byName(t, b.Series, "ch_p4")
 	// §5.2: ch_p4 ceiling ~10 MB/s; ch_mad exceeds 11 MB/s at 1 MB.
 	if bw := get(t, chp4B, 1<<20).BandwidthMBs(); bw > 10.3 {
@@ -78,10 +115,7 @@ func TestFig6Shape(t *testing.T) {
 }
 
 func TestFig7Shape(t *testing.T) {
-	b, err := Fig7('b')
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := artifact(t, "fig7b")
 	chmad := byName(t, b.Series, "ch_mad")
 	sca := byName(t, b.Series, "ScaMPI")
 	smi := byName(t, b.Series, "SCI-MPICH")
@@ -100,10 +134,7 @@ func TestFig7Shape(t *testing.T) {
 		t.Errorf("fig7b: ch_mad sustained %.1f, want >= 80", bw)
 	}
 
-	a, err := Fig7('a')
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := artifact(t, "fig7a")
 	// §5.3: latency comparisons are NOT favourable to ch_mad (the two
 	// native SCI ports are lower).
 	chmadA := byName(t, a.Series, "ch_mad")
@@ -115,10 +146,7 @@ func TestFig7Shape(t *testing.T) {
 }
 
 func TestFig8Shape(t *testing.T) {
-	b, err := Fig8('b')
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := artifact(t, "fig8b")
 	chmad := byName(t, b.Series, "ch_mad")
 	gm := byName(t, b.Series, "MPI-GM")
 	pm := byName(t, b.Series, "MPICH-PM")
@@ -140,10 +168,7 @@ func TestFig8Shape(t *testing.T) {
 		t.Errorf("fig8b: mid-range not 'roughly the same': ch_mad %.1f vs PM %.1f", m, p)
 	}
 
-	a, err := Fig8('a')
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := artifact(t, "fig8a")
 	chmadA, gmA := byName(t, a.Series, "ch_mad"), byName(t, a.Series, "MPI-GM")
 	// §5.4: ch_mad beats MPI-GM below 512 B, loses beyond.
 	if get(t, chmadA, 64).OneWay >= get(t, gmA, 64).OneWay {
@@ -155,10 +180,7 @@ func TestFig8Shape(t *testing.T) {
 }
 
 func TestFig9Shape(t *testing.T) {
-	a, err := Fig9('a')
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := artifact(t, "fig9a")
 	alone := byName(t, a.Series, "SCI_thread_only")
 	both := byName(t, a.Series, "SCI_thread_+_TCP_thread")
 	// §5.5: a measurable but *limited* gap from the extra TCP poller.
@@ -172,10 +194,7 @@ func TestFig9Shape(t *testing.T) {
 		}
 	}
 
-	b, err := Fig9('b')
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := artifact(t, "fig9b")
 	aloneB := byName(t, b.Series, "SCI_thread_only")
 	bothB := byName(t, b.Series, "SCI_thread_+_TCP_thread")
 	// Large messages converge: within 2% at 1 MB.
@@ -186,10 +205,7 @@ func TestFig9Shape(t *testing.T) {
 }
 
 func TestAblations(t *testing.T) {
-	sw, err := AblationSwitchPoint()
-	if err != nil {
-		t.Fatal(err)
-	}
+	sw := artifact(t, "ablation-switch")
 	// At 64 KB messages, a 64K switch point (pure eager) must lose to the
 	// 8 KB election (zero-copy rendez-vous).
 	sp8 := byName(t, sw.Series, "switch=8K")
@@ -198,10 +214,7 @@ func TestAblations(t *testing.T) {
 		t.Error("ablation X1: 8K election should beat pure eager at 64KB")
 	}
 
-	split, err := AblationHeaderSplit()
-	if err != nil {
-		t.Fatal(err)
-	}
+	split := artifact(t, "ablation-split")
 	s := byName(t, split.Series, "header/body split")
 	m := byName(t, split.Series, "monolithic buffer")
 	// §4.2.2: the monolithic padded buffer wastes wire time on every
@@ -214,10 +227,7 @@ func TestAblations(t *testing.T) {
 }
 
 func TestForwardingExperiment(t *testing.T) {
-	r, err := Forwarding()
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := artifact(t, "forwarding")
 	direct := byName(t, r.Series, "direct SCI")
 	fwd := byName(t, r.Series, "SCI->gw->Myrinet")
 	// Store-and-forward costs roughly a second network traversal.
@@ -234,49 +244,47 @@ func TestAllAndByID(t *testing.T) {
 	if _, err := ByID("nope"); err == nil {
 		t.Fatal("unknown id accepted")
 	}
-	r, err := ByID("table1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(r.Text, "Table 1") {
-		t.Fatalf("text: %s", r.Text)
+	seen := make(map[string]bool)
+	for _, id := range IDs() {
+		if seen[id] {
+			t.Errorf("experiment id %q listed twice", id)
+		}
+		seen[id] = true
 	}
 }
 
-// TestAllRegeneratesEveryArtifact runs the complete experiment suite once
-// — the same path as `cmd/experiments -exp all` — and checks each
-// artifact rendered non-trivially and that ByID regenerates it byte for
-// byte. That second run pins the bit-identical-runs guarantee the madlint
-// determinism rules exist to protect: every source of randomness in the
-// simulator is either eliminated (virtual time, cooperative scheduling,
-// sorted map iterations) or explicitly seeded (netsim's fault-jitter
-// PRNG), so a diff means map order, wall-clock time or an unseeded
-// generator leaked into simulation behaviour.
+// TestAllRegeneratesEveryArtifact checks the complete experiment suite —
+// the same path as `cmd/experiments -exp all` — against every file its
+// virtual numbers are pinned in, and that ByID regenerates each artifact
+// byte for byte. That second run pins the bit-identical-runs guarantee the
+// madlint determinism rules exist to protect: every source of randomness
+// in the simulator is either eliminated (virtual time, cooperative
+// scheduling, sorted map iterations) or explicitly seeded (netsim's
+// fault-jitter PRNG), so a diff means map order, wall-clock time or an
+// unseeded generator leaked into simulation behaviour.
 //
-// Each artifact's text is also compared byte for byte with
-// testdata/artifacts.golden, which pins every table, figure, relay table
-// and link map. Regenerate it with
+// The pins, all exact:
+//   - testdata/artifacts.golden holds every artifact's text: each table,
+//     figure, relay table and link map;
+//   - BENCH_collectives.json must equal the collective experiments'
+//     series re-marshalled, byte for byte;
+//   - the series of BENCH_scale.json must equal the scale artifact's.
+//
+// Regenerate the first two with
 //
 //	go test ./internal/experiments -run TestAllRegeneratesEveryArtifact -update-artifacts
 //
-// only when an output change is intended, and justify every moved line.
+// only when an output change is intended, and justify every moved line;
+// BenchmarkScaleMachine rewrites BENCH_scale.json.
 func TestAllRegeneratesEveryArtifact(t *testing.T) {
-	results, err := All()
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantIDs := []string{
-		"table1", "fig6a", "fig6b", "fig7a", "fig7b", "fig8a", "fig8b",
-		"fig9a", "fig9b", "table2", "ablation-switch", "ablation-split",
-		"forwarding", "hcoll", "gateway", "adaptive", "heteromux",
-		"multileader", "scale",
-	}
-	if len(results) != len(wantIDs) {
-		t.Fatalf("All produced %d artifacts, want %d", len(results), len(wantIDs))
+	results := allResults(t)
+	ids := IDs()
+	if len(results) != len(ids) {
+		t.Fatalf("All produced %d artifacts, want %d", len(results), len(ids))
 	}
 	for i, r := range results {
-		if r.ID != wantIDs[i] {
-			t.Errorf("artifact %d is %q, want %q", i, r.ID, wantIDs[i])
+		if r.ID != ids[i] {
+			t.Errorf("artifact %d is %q, want %q", i, r.ID, ids[i])
 		}
 		if len(r.Text) < 40 {
 			t.Errorf("%s rendered suspiciously short output", r.ID)
@@ -290,23 +298,20 @@ func TestAllRegeneratesEveryArtifact(t *testing.T) {
 			t.Errorf("ByID(%q) rendered different text than All():\n%s", r.ID, divergence("All", r.Text, "ByID", again.Text))
 		}
 	}
+	collectives, err := encodeCollectives(results)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if *updateArtifacts {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
+		if err := os.WriteFile(artifactsGolden, encodeArtifacts(results), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(artifactsGolden, encodeArtifacts(results), 0o644); err != nil {
+		if err := os.WriteFile(benchCollectives, collectives, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
-	data, err := os.ReadFile(artifactsGolden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := decodeArtifacts(data)
-	if err != nil {
-		t.Fatalf("%s: %v", artifactsGolden, err)
-	}
+	want := golden(t)
 	if len(want) != len(results) {
 		t.Errorf("%s holds %d artifacts, All produced %d", artifactsGolden, len(want), len(results))
 	}
@@ -320,6 +325,118 @@ func TestAllRegeneratesEveryArtifact(t *testing.T) {
 			t.Errorf("%s differs from %s:\n%s", r.ID, artifactsGolden, divergence("golden", w, "All", r.Text))
 		}
 	}
+	if committed, err := os.ReadFile(benchCollectives); err != nil {
+		t.Error(err)
+	} else if string(committed) != string(collectives) {
+		t.Errorf("%s differs from the regenerated series:\n%s", benchCollectives,
+			divergence("committed", string(committed), "All", string(collectives)))
+	}
+	checkScaleSeries(t, artifact(t, "scale"))
+}
+
+// encodeCollectives renders BENCH_collectives.json: the series of the
+// collective experiments, in table order, under the file's description
+// of what each series family measures.
+func encodeCollectives(results []*Result) ([]byte, error) {
+	out := struct {
+		Experiment string        `json:"experiment"`
+		Topology   string        `json:"topology"`
+		Series     []BenchSeries `json:"series"`
+	}{
+		Experiment: "X4 hierarchical collectives + X5 multi-gateway routing + X5 variant adaptive multi-path relay" +
+			" + X6 per-link device mux + X9 multi-leader rail-striped collectives",
+		Topology: "X4: 2 SCI islands x 4 single-proc nodes, interleaved ranks, TCP backbone" +
+			" (_cap series: backbone trunk capped at the TCP rate via netsim.Params.NetworkBandwidth);" +
+			" *_gw series (X5): bridged 3-cluster topology, 2 TCP bridges, no common network" +
+			" (GwHops_* point values are gateway-relayed message counts, not microseconds);" +
+			" Relay_stripe/_single, Adapt_*, AdaptQ_* and RelayQPeakMax (X5 variant): bridged triangle" +
+			" with a third TCP side — striping vs single-path relay, adaptive re-plan vs static under a" +
+			" loaded bridge (AdaptQ_*/RelayQPeakMax point values are relay queue depths, not microseconds);" +
+			" Mux_*/Uniform_* series (X6): 2 dual-proc SCI nodes + 2 dual-proc BIP nodes on a shared TCP" +
+			" backbone — per-link device mux (chself/smp/SAN/TCP classes, per-class autotuned switch" +
+			" points) vs the uniform single-protocol ch_mad configuration (Topology.Uniform);" +
+			" ML_* series (X9): bridged triangle, autotuned sessions — ML_*_multi lets the tuner pick the" +
+			" multi-leader 2level-multi algorithms (one co-leader per distinct gateway, shards striped" +
+			" across every bridge), ML_*_single forces the single-leader two-level baseline (CollHier)",
+	}
+	for _, r := range results {
+		switch r.ID {
+		case "hcoll", "gateway", "adaptive", "heteromux", "multileader":
+			out.Series = append(out.Series, r.Bench()...)
+		}
+	}
+	data, err := json.MarshalIndent(out, "", "  ")
+	return append(data, '\n'), err
+}
+
+// checkScaleSeries compares the scale artifact's series with the series
+// recorded in BENCH_scale.json, exactly.
+func checkScaleSeries(t *testing.T, scale *Result) {
+	t.Helper()
+	data, err := os.ReadFile(benchScale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var committed struct {
+		Series []BenchSeries `json:"series"`
+	}
+	if err := json.Unmarshal(data, &committed); err != nil {
+		t.Fatalf("%s: %v", benchScale, err)
+	}
+	if got := scale.Bench(); !reflect.DeepEqual(committed.Series, got) {
+		a, _ := json.MarshalIndent(committed.Series, "", "  ")
+		b, _ := json.MarshalIndent(got, "", "  ")
+		t.Errorf("%s series differ from the scale artifact:\n%s", benchScale,
+			divergence("committed", string(a), "All", string(b)))
+	}
+}
+
+// TestCSVMatchesTable checks that -csv emits every artifact's series in
+// the unit its table renders: each CSV value (3 decimals) rounds to the
+// table's (2 decimals), row by row and column by column.
+func TestCSVMatchesTable(t *testing.T) {
+	for _, r := range allResults(t) {
+		if len(r.Series) == 0 {
+			continue
+		}
+		csvRows := strings.Split(strings.TrimSuffix(r.CSV(), "\n"), "\n")[2:]
+		tableRows := strings.Split(r.Text, "\n")[2:]
+		for i, row := range csvRows {
+			cells := strings.Split(row, ",")[1:]
+			fields := strings.Fields(tableRows[i])[1:]
+			if len(cells) != len(fields) {
+				t.Errorf("%s row %d: CSV has %d values, table %d", r.ID, i, len(cells), len(fields))
+				continue
+			}
+			for j, cell := range cells {
+				if cell == "" {
+					if fields[j] != "-" {
+						t.Errorf("%s row %d: CSV has no %s value, table has %s", r.ID, i, r.Series[j].Name, fields[j])
+					}
+					continue
+				}
+				v, err := strconv.ParseFloat(cell, 64)
+				w, err2 := strconv.ParseFloat(fields[j], 64)
+				if err != nil || err2 != nil || math.Abs(v-w) > 0.006 {
+					t.Errorf("%s row %d, %s: CSV %s, table %s", r.ID, i, r.Series[j].Name, cell, fields[j])
+				}
+			}
+		}
+	}
+}
+
+// golden returns the artifact texts pinned in testdata/artifacts.golden.
+func golden(t *testing.T) map[string]string {
+	t.Helper()
+	data, err := os.ReadFile(artifactsGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := decodeArtifacts(data)
+	if err != nil {
+		t.Fatalf("%s: %v", artifactsGolden, err)
+	}
+	return want
 }
 
 // encodeArtifacts renders the golden file: each artifact's text behind a

@@ -59,56 +59,24 @@ func heteroTopo(uniform bool) cluster.Topology {
 // the per-class thresholds the MPI_Init autotuner measured.
 func HeteroMux() (*Result, error) {
 	sizes := []int{8, 256, 4 << 10, 64 << 10, 256 << 10}
-	type opSpec struct {
+	ops := []struct {
 		name string
-		op   func(comm *mpi.Comm, size int) error
-	}
-	ops := []opSpec{
-		{"Bcast", func(comm *mpi.Comm, size int) error {
-			buf := make([]byte, size)
-			return comm.Bcast(buf, size, mpi.Byte, 0)
-		}},
-		{"Allreduce", func(comm *mpi.Comm, size int) error {
-			buf := make([]byte, size)
-			out := make([]byte, size)
-			return comm.Allreduce(buf, out, size, mpi.Byte, mpi.OpMax)
-		}},
-		{"Alltoall", func(comm *mpi.Comm, size int) error {
-			send := make([]byte, size*comm.Size())
-			recv := make([]byte, size*comm.Size())
-			return comm.Alltoall(send, recv, size, mpi.Byte)
-		}},
+		op   collOp
+	}{
+		{"Bcast", bcast},
+		{"Allreduce", allreduce},
+		{"Alltoall", alltoall},
 	}
 
 	// One shared cache per configuration shape: the MPI_Init sweep (and
 	// the per-class switch-point probes) run once per shape, and every
 	// per-size session after that reloads the measured table.
 	cache := cluster.NewTuneCache()
-	run := func(uniform bool, op func(*mpi.Comm, int) error, size int) (vtime.Duration, error) {
+	run := func(uniform bool, op collOp, size int) (vtime.Duration, error) {
 		topo := heteroTopo(uniform)
 		topo.TuneCache = cache
-		sess, err := cluster.Build(topo)
-		if err != nil {
-			return 0, err
-		}
-		var perOp vtime.Duration
-		err = sess.Run(func(rank int, comm *mpi.Comm) error {
-			const iters = 3
-			start := sess.S.Now()
-			for i := 0; i < iters; i++ {
-				if err := op(comm, size); err != nil {
-					return err
-				}
-			}
-			if rank == 0 {
-				perOp = sess.S.Now().Sub(start) / iters
-			}
-			return nil
-		})
-		if err != nil {
-			return 0, err
-		}
-		return perOp, nil
+		perOp, _, err := window{topo: topo, iters: 3, size: size, op: op}.run()
+		return perOp, err
 	}
 
 	var series []*stats.Series

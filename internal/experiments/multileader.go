@@ -31,57 +31,27 @@ import (
 
 // multiLeaderRun measures one collective's per-operation time on an
 // autotuned bridged-triangle session with the given selection mode, plus
-// each bridge network's wire bytes over the measured window — the
-// crossing-split diagnostic.
-func multiLeaderRun(mode mpi.CollMode, iters, size int,
-	op func(comm *mpi.Comm, size int) error) (vtime.Duration, map[string]uint64, error) {
+// each bridge network's wire bytes per operation over the measured
+// window — the crossing-split diagnostic.
+func multiLeaderRun(mode mpi.CollMode, iters, size int, op collOp) (vtime.Duration, map[string]uint64, error) {
 	topo := triangleTopo()
 	topo.Autotune = true
-	sess, err := cluster.Build(topo)
-	if err != nil {
-		return 0, nil, err
-	}
-	for _, rk := range sess.Ranks {
-		rk.MPI.SetCollMode(mode)
-	}
-	bridgeBytes := func() map[string]uint64 {
+	var marks []map[string]uint64
+	bridgeBytes := func(sess *cluster.Session) {
 		out := make(map[string]uint64)
 		for name, net := range sess.Networks {
 			if net.Params.Protocol == "tcp" {
 				out[name] = net.Stats.Bytes
 			}
 		}
-		return out
+		marks = append(marks, out)
 	}
-	var perOp vtime.Duration
-	var before, after map[string]uint64
-	err = sess.Run(func(rank int, comm *mpi.Comm) error {
-		if err := comm.Barrier(); err != nil {
-			return err
-		}
-		if rank == 0 {
-			before = bridgeBytes()
-		}
-		start := sess.S.Now()
-		for i := 0; i < iters; i++ {
-			if err := op(comm, size); err != nil {
-				return err
-			}
-		}
-		if rank == 0 {
-			perOp = sess.S.Now().Sub(start) / vtime.Duration(iters)
-		}
-		if err := comm.Barrier(); err != nil {
-			return err
-		}
-		if rank == 0 {
-			after = bridgeBytes()
-		}
-		return nil
-	})
+	perOp, _, err := window{topo: topo, mode: mode, fenced: true, iters: iters, size: size, op: op,
+		mark: bridgeBytes}.run()
 	if err != nil {
 		return 0, nil, err
 	}
+	before, after := marks[0], marks[1]
 	crossed := make(map[string]uint64, len(after))
 	for name, b := range after {
 		crossed[name] = (b - before[name]) / uint64(iters)
@@ -96,28 +66,20 @@ func multiLeaderRun(mode mpi.CollMode, iters, size int,
 // engaging every gateway.
 func MultiLeader() (*Result, error) {
 	sizes := []int{4 << 10, 64 << 10, 256 << 10, 1 << 20}
-	bcast := func(comm *mpi.Comm, size int) error {
-		buf := make([]byte, size)
-		return comm.Bcast(buf, size, mpi.Byte, 0)
-	}
-	alltoall := func(comm *mpi.Comm, size int) error {
-		block := size / comm.Size()
-		if block < 1 {
-			block = 1
-		}
-		send := make([]byte, block*comm.Size())
-		recv := make([]byte, block*comm.Size())
-		return comm.Alltoall(send, recv, block, mpi.Byte)
+	// Alltoall's size is the whole per-rank vector, split into one block
+	// per rank.
+	blockAlltoall := func(rk *cluster.Rank, comm *mpi.Comm, size int) error {
+		return alltoall(rk, comm, max(size/comm.Size(), 1))
 	}
 	benches := []struct {
 		name string
 		mode mpi.CollMode
-		op   func(comm *mpi.Comm, size int) error
+		op   collOp
 	}{
 		{"ML_Bcast_multi", mpi.CollAuto, bcast},
 		{"ML_Bcast_single", mpi.CollHier, bcast},
-		{"ML_Alltoall_multi", mpi.CollAuto, alltoall},
-		{"ML_Alltoall_single", mpi.CollHier, alltoall},
+		{"ML_Alltoall_multi", mpi.CollAuto, blockAlltoall},
+		{"ML_Alltoall_single", mpi.CollHier, blockAlltoall},
 	}
 	const iters = 3
 	var series []*stats.Series

@@ -22,10 +22,10 @@ import (
 	"mpichmad/internal/stats"
 )
 
-// The scale machine: 64 clusters × 16 ranks = 1024 ranks.
+// The scale machine: ScaleClusters × ScaleRanksPer = 1024 ranks.
 const (
-	scaleClusters   = 64
-	scaleRanksPer   = 16
+	ScaleClusters   = 64
+	ScaleRanksPer   = 16
 	scaleBcastRoot  = 0
 	scaleMaxPayload = 16 << 10
 )
@@ -69,18 +69,11 @@ func ScaleTopo(nClusters, perCluster int) cluster.Topology {
 // Scale (X8) runs Allreduce and Bcast sweeps on the full 1024-rank
 // machine and reports per-operation simulated time.
 func Scale() (*Result, error) {
-	return scaleAt(scaleClusters, scaleRanksPer)
-}
-
-// scaleAt is Scale at an arbitrary machine size (the benchmark harness
-// sweeps smaller machines for the growth-ratio series).
-func scaleAt(nClusters, perCluster int) (*Result, error) {
-	topo := ScaleTopo(nClusters, perCluster)
-	sess, err := cluster.Build(topo)
+	sess, err := cluster.Build(ScaleTopo(ScaleClusters, ScaleRanksPer))
 	if err != nil {
 		return nil, err
 	}
-	size := nClusters * perCluster
+	size := ScaleClusters * ScaleRanksPer
 	sizes := []int{64, 1 << 10, scaleMaxPayload}
 	allreduce := &stats.Series{Name: "Allreduce"}
 	bcast := &stats.Series{Name: "Bcast"}
@@ -113,10 +106,9 @@ func scaleAt(nClusters, perCluster int) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	id := "scale"
 	title := fmt.Sprintf("Scale: %d-rank machine (%d clusters x %d ranks, capped backbone)",
-		size, nClusters, perCluster)
-	res := render(id, title, 'a', []*stats.Series{allreduce, bcast})
+		size, ScaleClusters, ScaleRanksPer)
+	res := render("scale", title, 'a', []*stats.Series{allreduce, bcast})
 	var b strings.Builder
 	b.WriteString(res.Text)
 	// Zero relaying ranks is the election doing its job: leaders sit on

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"strings"
 	"testing"
 
 	"mpichmad/internal/cluster"
@@ -10,15 +9,10 @@ import (
 
 // TestTracingLeavesOutputIdentical pins the tracer's observer contract:
 // attaching the process-wide default tracer (the -trace flag path) must
-// leave an experiment's rendered output byte-identical to an untraced
-// run. Tracing only records — it never perturbs virtual time, scheduling
-// order, or any measured quantity.
+// leave an experiment's rendered output byte-identical to the untraced
+// text pinned in testdata/artifacts.golden. Tracing only records — it
+// never perturbs virtual time, scheduling order, or any measured quantity.
 func TestTracingLeavesOutputIdentical(t *testing.T) {
-	off, err := GatewayCollectives()
-	if err != nil {
-		t.Fatalf("untraced run: %v", err)
-	}
-
 	tr := trace.New(nil)
 	cluster.SetDefaultTracer(tr)
 	defer cluster.SetDefaultTracer(nil)
@@ -26,24 +20,10 @@ func TestTracingLeavesOutputIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatalf("traced run: %v", err)
 	}
-
 	if len(tr.Events()) == 0 {
 		t.Fatal("default tracer attached but recorded nothing")
 	}
-	if off.Text == on.Text {
-		return
-	}
-	a, b := strings.Split(off.Text, "\n"), strings.Split(on.Text, "\n")
-	for i := 0; i < len(a) || i < len(b); i++ {
-		var la, lb string
-		if i < len(a) {
-			la = a[i]
-		}
-		if i < len(b) {
-			lb = b[i]
-		}
-		if la != lb {
-			t.Errorf("line %d diverged with tracing on:\n  off: %s\n  on:  %s", i+1, la, lb)
-		}
+	if off := golden(t)["gateway"]; off != on.Text {
+		t.Errorf("gateway output diverged with tracing on:\n%s", divergence("golden", off, "traced", on.Text))
 	}
 }

@@ -307,9 +307,10 @@
 // The transport stack is instrumented end to end by internal/trace: a
 // virtual-time event tracer, an always-on metrics registry, and a
 // bounded flight-recorder ring. Tracing is off by default and costs one
-// nil-check branch per hot path (measured by BenchmarkNilTracer; the
-// scale-seed benchcheck gate proves disabled tracing leaves every
-// simulated time bit-identical). Attach a tracer per topology
+// nil-check branch per hot path (measured by BenchmarkNilTracer), and
+// it never moves a simulated time: internal/experiments holds a traced
+// gateway run to the untraced text its golden file pins. Attach a
+// tracer per topology
 // (cluster.Topology.Trace) or process-wide (cluster.SetDefaultTracer —
 // the `cmd/experiments -trace out.json` path).
 //

@@ -2,7 +2,7 @@
 // paper's physical hardware (Fast-Ethernet + TCP, Dolphin SCI + SISCI,
 // Myrinet + BIP). Each protocol is a calibrated LogGP-style cost model;
 // payload bytes genuinely move through simulated NIC pipes, and only time
-// is virtual. See DESIGN.md §2 for the substitution rationale.
+// is virtual (README.md explains the virtual-time model).
 package netsim
 
 import "mpichmad/internal/vtime"
@@ -13,7 +13,7 @@ const MB = 1 << 20
 
 // Params is the calibrated cost model of one protocol/network pair.
 // The constants below are derived from Table 1, Table 2 and §5.2–§5.4 of
-// the paper (see DESIGN.md §4 "Calibration constants").
+// the paper (PAPER.md).
 type Params struct {
 	// Protocol is the low-level API name: "tcp", "sisci", "bip", "shm",
 	// "self".
